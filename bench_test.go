@@ -13,6 +13,7 @@ package latlab
 import (
 	"context"
 	"io"
+	"latlab/internal/machine"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ import (
 	"latlab/internal/trace"
 )
 
-func cfg() experiments.Config { return experiments.DefaultConfig() }
+func cfg() experiments.Config { return experiments.Config{Seed: 1996} }
 
 // runExperiment executes the registered experiment b.N times, rendering
 // to io.Discard (rendering cost is part of regenerating the artifact).
@@ -216,7 +217,7 @@ func BenchmarkAblationCrossingFlush(b *testing.B) {
 		noFlush := p
 		// Wholesale cost-model override: default hardware penalties but a
 		// free crossing (DomainCrossingCycles alone cannot express "zero").
-		noFlush.Kernel.Penalties = cpu.DefaultPenalties()
+		noFlush.Kernel.Penalties = cpu.PenaltiesFor(machine.Pentium100())
 		noFlush.Kernel.Penalties.DomainCrossing = 0
 		noFlush.Kernel.DomainCrossingCycles = 0
 		noFlush.Kernel.FlushOnProcessSwitch = false

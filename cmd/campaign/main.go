@@ -165,7 +165,7 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		jobs       = fs.Int("jobs", runtime.NumCPU(), "run up to N cells concurrently")
 		timeout    = fs.Duration("timeout", 0, "per-cell timeout, retries included (0 = none)")
 		engine     = fs.String("engine", "batched", "simulation engine: batched or reference (byte-identical ledgers)")
-		batch      = fs.Int("batch", 8, "machines stepped per worker as one batch (1 = sequential)")
+		batch      = fs.Int("batch", 8, "machines stepped per worker as one batch (1 = one machine at a time)")
 	)
 	budget, backoff := new(int), new(time.Duration)
 	if resume {

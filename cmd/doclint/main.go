@@ -3,7 +3,9 @@
 // exported symbol there carries a doc comment, every relative link
 // in the repository's Markdown files resolves to an existing file, and
 // every `#fragment` link (same-document or cross-document) resolves to
-// a real heading's GitHub-style anchor.
+// a real heading's GitHub-style anchor. It also flags exported
+// functions and methods under internal/ that only tests reference, so
+// dead surface cannot accumulate.
 // `make doclint` runs it as part of `make verify`
 // (LATLAB_SKIP_DOCLINT=1 opts out).
 //
@@ -58,6 +60,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings = append(findings, anchors...)
+	unused, err := lintTestOnlyExports(*root)
+	if err != nil {
+		fmt.Fprintln(stderr, "doclint:", err)
+		return 2
+	}
+	findings = append(findings, unused...)
 
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)

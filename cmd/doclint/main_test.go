@@ -51,7 +51,17 @@ func (w *Widget) Spin() {}
 // Do is a documented function.
 func Do() {}
 `,
-		"README.md": "# Top\n\nSee [the doc](docs/guide.md) and [site](https://example.com) and [top](#top).\n",
+		"go.mod": "module example.com/clean\n",
+		"cmd/use/main.go": `package main
+
+import "example.com/clean/internal/ok"
+
+func main() {
+	ok.Do()
+	new(ok.Widget).Spin()
+}
+`,
+		"README.md":     "# Top\n\nSee [the doc](docs/guide.md) and [site](https://example.com) and [top](#top).\n",
 		"docs/guide.md": "Back to [readme](../README.md).\n",
 	})
 	code, out, errOut := runLint(t, root)
@@ -232,6 +242,85 @@ func TestDuplicateHeadingAnchors(t *testing.T) {
 	}
 	if strings.Contains(out, "#setup-1") {
 		t.Errorf("stdout flags valid duplicate-suffix anchor:\n%s", out)
+	}
+}
+
+// TestTestOnlyExports pins the unused-export check on a fixture shaped
+// like this repository: a root module with internal/ and cmd/, plus a
+// sibling module (go.mod of its own, importing the root module's
+// internal package the way perfbench does).
+func TestTestOnlyExports(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module example.com/repo\n",
+		"internal/lib/lib.go": `// Package lib has exports with every kind of caller.
+package lib
+
+// UsedByCmd is called from cmd/.
+func UsedByCmd() int { return helper() }
+
+// UsedBySibling is called only from the sibling module.
+func UsedBySibling() {}
+
+// OnlyTests is called only from a _test.go file.
+func OnlyTests() {}
+
+// Unused is called from nowhere.
+func Unused() {}
+
+func helper() int { return 1 }
+
+// Shape is satisfied implicitly by Square.
+type Shape interface{ Area() float64 }
+
+// Square is a Shape.
+type Square struct{}
+
+// Area implements Shape; nothing selects it by name.
+func (Square) Area() float64 { return 1 }
+
+// String is exempt: fmt calls it implicitly.
+func (Square) String() string { return "square" }
+
+// Grow is a method only tests call.
+func (Square) Grow() {}
+`,
+		"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestOnly(t *testing.T) { OnlyTests(); Square{}.Grow() }
+`,
+		"cmd/tool/main.go": `package main
+
+import "example.com/repo/internal/lib"
+
+func main() { _ = lib.UsedByCmd() }
+`,
+		"bench/go.mod": "module example.com/repo/bench\n\nrequire example.com/repo v0.0.0\n\nreplace example.com/repo => ../\n",
+		"bench/main.go": `package main
+
+import rl "example.com/repo/internal/lib"
+
+func main() { rl.UsedBySibling() }
+`,
+	})
+	code, out, _ := runLint(t, root)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1; stdout=%q", code, out)
+	}
+	for _, want := range []string{
+		"exported function lib.OnlyTests has no non-test caller",
+		"exported function lib.Unused has no non-test caller",
+		"exported method lib.Square.Grow has no non-test caller",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q; got:\n%s", want, out)
+		}
+	}
+	for _, reject := range []string{"UsedByCmd", "UsedBySibling", "Area", "String", "helper"} {
+		if strings.Contains(out, reject) {
+			t.Errorf("stdout flags %s, which has a non-test caller or is exempt:\n%s", reject, out)
+		}
 	}
 }
 

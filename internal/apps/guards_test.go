@@ -81,10 +81,10 @@ func TestPowerpointAccessors(t *testing.T) {
 	sys := bootNT40()
 	defer sys.Shutdown()
 	ppt := NewPowerpoint(sys, DefaultPowerpointParams())
-	if len(ppt.Objects()) != 3 {
-		t.Fatalf("objects = %d", len(ppt.Objects()))
+	if len(ppt.objects) != 3 {
+		t.Fatalf("objects = %d", len(ppt.objects))
 	}
-	if ppt.ObjectSlide(0) != 10 || ppt.ObjectSlide(2) != 30 {
+	if ppt.params.ObjectSlides[0] != 10 || ppt.params.ObjectSlides[2] != 30 {
 		t.Fatalf("object slides wrong")
 	}
 	if ppt.Thread() == nil {

@@ -241,12 +241,6 @@ func (p *Powerpoint) renderSlide(tc *kernel.TC) {
 // Thread returns the application's main thread.
 func (p *Powerpoint) Thread() *kernel.Thread { return p.thread }
 
-// Objects returns the embedded objects in document order.
-func (p *Powerpoint) Objects() []*ole.Object { return p.objects }
-
-// ObjectSlide returns the slide number of object i.
-func (p *Powerpoint) ObjectSlide(i int) int { return p.params.ObjectSlides[i] }
-
 // readChunked demand-pages [first, first+pages) of f in chunk-page
 // requests.
 func readChunked(tc *kernel.TC, f fscache.FileID, first, pages, chunk int64) {

@@ -264,7 +264,7 @@ func TestMarshalSpecRoundTrips(t *testing.T) {
 // suggested cells, and run.
 func TestNextSpecRoundTrip(t *testing.T) {
 	ledger, _ := runMini(t, 2)
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

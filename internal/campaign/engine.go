@@ -68,11 +68,9 @@ type Options struct {
 	// kernel.BatchedEngine(). Both produce byte-identical ledgers.
 	Engine kernel.Engine
 	// Batch is the number of machines each worker steps as one
-	// system.Batch; <= 1 runs sessions one at a time (the reference
-	// path). The ledger bytes are identical for every value: sessions
-	// are opened, stepped, and folded in seed order either way. Cells
-	// whose scenario has no single-session decomposition (compare
-	// scenarios) fall back to the sequential path automatically.
+	// system.Batch; values below 1 mean 1. The ledger bytes are
+	// identical for every value: sessions are opened, stepped, and
+	// folded in seed order either way.
 	Batch int
 }
 
@@ -462,10 +460,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // runCell executes a cell's sessions in seed order, folding every
 // event latency into one sketch and returning the finished ledger
 // record. Each session's result is discarded after folding, so memory
-// stays flat at any population size. With opt.Batch > 1, sessions run
-// interleaved as a system.Batch in waves of the batch size — opened,
-// stepped, and folded in seed order, so the record (and the ledger) is
-// byte-identical to the sequential path.
+// stays flat at any population size. Sessions run interleaved as a
+// system.Batch in waves of opt.Batch — opened, stepped, and folded in
+// seed order, so the record (and the ledger) is byte-identical at any
+// batch width.
 func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, opt Options) (Record, error) {
 	sk := stats.NewSketch(alpha)
 	sessions := 0
@@ -509,13 +507,7 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 		}
 		sessions++
 	}
-	var err error
-	if opt.Batch > 1 && len(cell.Doc.Compare) == 0 {
-		err = runCellBatched(ctx, cell, opt, fold)
-	} else {
-		err = runCellSequential(ctx, cell, opt, fold)
-	}
-	if err != nil {
+	if err := runCellBatched(ctx, cell, opt, fold); err != nil {
 		return Record{}, err
 	}
 	return Record{
@@ -541,73 +533,47 @@ func runCell(ctx context.Context, campaignID string, cell Cell, alpha float64, o
 	}, nil
 }
 
-// runCellSequential is the reference path: one session at a time.
-func runCellSequential(ctx context.Context, cell Cell, opt Options, fold func(*experiments.ScenarioResult)) error {
-	spec, err := experiments.FromScenario(cell.Doc)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < cell.SeedCount; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seed := cell.SeedStart + uint64(i)
-		res, err := spec.Run(ctx, experiments.Config{Seed: seed, Quick: opt.Quick, Engine: opt.Engine})
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
-		sr, ok := res.(*experiments.ScenarioResult)
-		if !ok {
-			return fmt.Errorf("seed %d: unexpected result type %T", seed, res)
-		}
-		fold(sr)
-	}
-	return nil
-}
-
-// runCellBatched steps the cell's sessions opt.Batch machines at a
-// time on this worker: each wave opens its sessions in seed order
-// (reusing the batch's per-slot sample arenas), interleaves their
-// stepping earliest-target-first, then extracts and folds in seed
-// order. Abandoned sessions are closed if a sibling's open fails.
+// runCellBatched steps the cell's sessions opt.Batch machines (at
+// least one) at a time on this worker: each wave opens its sessions in
+// seed order (reusing the batch's per-slot sample arenas), interleaves
+// their stepping earliest-target-first, then extracts and folds in
+// seed order. Sessions a failed open or a panic abandons are closed.
 func runCellBatched(ctx context.Context, cell Cell, opt Options, fold func(*experiments.ScenarioResult)) error {
 	if err := cell.Doc.Validate(); err != nil {
 		return err
 	}
-	b := system.NewBatch(opt.Batch)
-	open := make([]*experiments.ScenarioSession, opt.Batch)
-	for base := 0; base < cell.SeedCount; base += opt.Batch {
-		n := opt.Batch
-		if rest := cell.SeedCount - base; n > rest {
-			n = rest
-		}
-		err := func() error {
-			defer func() {
-				for _, s := range open {
-					if s != nil {
-						s.Close()
-					}
-				}
-			}()
-			for i := 0; i < n; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				seed := cell.SeedStart + uint64(base+i)
-				s, err := experiments.OpenScenarioSession(experiments.Config{
-					Seed: seed, Quick: opt.Quick, Engine: opt.Engine, IdleArena: b.Arena(i),
-				}, cell.Doc)
-				if err != nil {
-					return fmt.Errorf("seed %d: %w", seed, err)
-				}
-				open[i] = s
-				b.Open(i, s)
+	width := max(opt.Batch, 1)
+	b := system.NewBatch(width)
+	open := make([]*experiments.ScenarioSession, width)
+	defer func() { // sessions a failed open or a panic left open
+		for _, s := range open {
+			if s != nil {
+				s.Close()
 			}
-			b.Run()
-			return nil
-		}()
-		if err != nil {
-			return err
+		}
+	}()
+	for base := 0; base < cell.SeedCount; base += width {
+		n := min(width, cell.SeedCount-base)
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			seed := cell.SeedStart + uint64(base+i)
+			s, err := experiments.OpenScenarioSession(experiments.Config{
+				Seed: seed, Quick: opt.Quick, Engine: opt.Engine, IdleArena: b.Arena(i),
+			}, cell.Doc)
+			if err != nil {
+				return fmt.Errorf("seed %d: %w", seed, err)
+			}
+			open[i] = s
+			b.Open(i, s)
+		}
+		b.Run()
+		// Shut the wave's machines down before extracting: results read
+		// only instruments and counters, which outlive shutdown, and the
+		// kernels are released before the results are built.
+		for _, s := range open[:n] {
+			s.Close()
 		}
 		for i := 0; i < n; i++ {
 			fold(open[i].Result())

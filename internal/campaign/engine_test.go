@@ -41,7 +41,7 @@ func TestRunFoldsCampaign(t *testing.T) {
 	if sum.Events == 0 {
 		t.Fatal("campaign folded no events")
 	}
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,10 @@ func TestRunShardingInvariant(t *testing.T) {
 }
 
 // TestRunBatchInvariant is the engine/batch determinism gate: the
-// ledger must be byte-identical on the reference engine and on the
-// batched engine at every batch size — singleton waves, partial waves
-// (4 against 6-seed cells), and one wave far wider than any cell.
+// ledger must be byte-identical on the reference engine (Batch 0, one
+// machine per wave) and on the batched engine at every batch size —
+// singleton waves, partial waves (4 against 6-seed cells), and one wave
+// far wider than any cell.
 func TestRunBatchInvariant(t *testing.T) {
 	base, _ := runMiniOpt(t, Options{Jobs: 2, Quick: true})
 	for _, opt := range []Options{
@@ -106,7 +107,7 @@ func TestRunBatchInvariant(t *testing.T) {
 	} {
 		got, _ := runMiniOpt(t, opt)
 		if !bytes.Equal(base, got) {
-			t.Errorf("ledger differs between the reference path and the batched engine at -batch %d", opt.Batch)
+			t.Errorf("ledger differs between the reference engine at batch width 1 and the batched engine at -batch %d", opt.Batch)
 		}
 	}
 }
@@ -136,7 +137,7 @@ func TestRunStopsOnEmitError(t *testing.T) {
 
 func TestAnalyzeRanksAndSuggests(t *testing.T) {
 	ledger, _ := runMini(t, 2)
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestAnalyzeRanksAndSuggests(t *testing.T) {
 
 func TestAnalyzeRejects(t *testing.T) {
 	ledger, _ := runMini(t, 1)
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

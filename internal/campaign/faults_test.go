@@ -126,7 +126,7 @@ func TestRunFaultsAxisCampaign(t *testing.T) {
 	if sum.Cells != 4 || sum.Sessions != 8 {
 		t.Fatalf("summary = %+v, want 4 cells / 8 sessions", sum)
 	}
-	recs, err := ParseLedger(buf.Bytes())
+	recs, err := parseLedger(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,27 +194,13 @@ func AppendRecord(w io.Writer, r Record) error {
 	return err
 }
 
-// ParseLedger parses an entire JSONL ledger strictly: every line must
-// be a complete, schema-valid record with no unknown fields, in
-// canonical form (re-marshaling it reproduces the line byte for byte),
-// and a final line without its newline is rejected as a truncated
-// record (an interrupted append must not pass as a shorter, valid
-// ledger). An empty ledger parses to no records.
-func ParseLedger(data []byte) ([]Record, error) {
-	var out []Record
-	err := ScanLedger(bytes.NewReader(data), func(r Record) error {
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScanLedger streams a JSONL ledger through a bufio.Reader one line at
-// a time, calling fn for each record, with exactly ParseLedger's
-// strictness — so a million-cell ledger costs one line of buffer, not
+// ScanLedger parses a JSONL ledger strictly: every line must be a
+// complete, schema-valid record with no unknown fields, in canonical
+// form (re-marshaling it reproduces the line byte for byte), and a
+// final line without its newline is rejected as a truncated record (an
+// interrupted append must not pass as a shorter, valid ledger). It
+// streams through a bufio.Reader one line at a time, calling fn for
+// each record, so a million-cell ledger costs one line of buffer, not
 // O(file) memory, and the caller decides what to retain. If fn returns
 // an error the scan stops and returns it.
 func ScanLedger(r io.Reader, fn func(Record) error) error {

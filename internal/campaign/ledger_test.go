@@ -8,6 +8,20 @@ import (
 	"latlab/internal/stats"
 )
 
+// parseLedger parses an entire ledger with ScanLedger's strictness. An
+// empty ledger parses to no records.
+func parseLedger(data []byte) ([]Record, error) {
+	var out []Record
+	err := ScanLedger(bytes.NewReader(data), func(r Record) error {
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // testRecord builds a consistent in-memory record from the given
 // latency samples.
 func testRecord(t *testing.T, seedStart uint64, samples ...float64) Record {
@@ -48,7 +62,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	parsed, err := ParseLedger(buf.Bytes())
+	parsed, err := parseLedger(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 }
 
 func TestParseLedgerEmpty(t *testing.T) {
-	recs, err := ParseLedger(nil)
+	recs, err := parseLedger(nil)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty ledger: %v, %d records", err, len(recs))
 	}
@@ -109,7 +123,7 @@ func TestParseLedgerRejects(t *testing.T) {
 			if tc.data == valid {
 				t.Fatal("mutation did not change the record")
 			}
-			_, err := ParseLedger([]byte(tc.data))
+			_, err := parseLedger([]byte(tc.data))
 			if err == nil {
 				t.Fatalf("want error mentioning %q, got nil", tc.want)
 			}
@@ -151,7 +165,7 @@ func FuzzParseLedger(f *testing.F) {
 	f.Add([]byte(``))                                               // empty ledger
 	f.Add([]byte(strings.Replace(string(line), ":1,", ":2,", 1)))   // perturbed
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ParseLedger(data)
+		recs, err := parseLedger(data)
 		if err != nil {
 			return
 		}

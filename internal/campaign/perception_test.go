@@ -50,7 +50,7 @@ func TestPerceptionLedgerBlock(t *testing.T) {
 	if sum.Cells != 8 {
 		t.Fatalf("summary = %+v, want 8 cells", sum)
 	}
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatalf("perception ledger failed the canonical parser: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestPerceptionLedgerBlock(t *testing.T) {
 // ledger without the block.
 func TestPerceptionAnalyzeTable(t *testing.T) {
 	ledger, _ := runMiniPerception(t, Options{Jobs: 1, Quick: true})
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPerceptionAnalyzeTable(t *testing.T) {
 	}
 	// Flag-off ledgers must not grow the table.
 	baseLedger, _ := runMini(t, 1)
-	baseRecs, err := ParseLedger(baseLedger)
+	baseRecs, err := parseLedger(baseLedger)
 	if err != nil {
 		t.Fatal(err)
 	}

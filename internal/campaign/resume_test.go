@@ -15,7 +15,7 @@ func goldenMini(t *testing.T) (*Campaign, []byte, []Record) {
 	t.Helper()
 	c := mustLoad(t)
 	ledger, _ := runMini(t, 4)
-	recs, err := ParseLedger(ledger)
+	recs, err := parseLedger(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestQuarantineContinuesRun(t *testing.T) {
 	if q.Campaign != "mini" || !q.Quick {
 		t.Fatalf("quarantine entry %+v missing provenance", q)
 	}
-	got, err := ParseLedger(buf.Bytes())
+	got, err := parseLedger(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,9 +134,6 @@ func (f *FSM) Finish(end simtime.Time) (think, wait simtime.Duration) {
 	return f.think, f.wait
 }
 
-// Phase returns the current phase.
-func (f *FSM) Phase() Phase { return f.cur }
-
 // Transitions returns the transition log.
 func (f *FSM) Transitions() []PhaseChange { return f.transitions }
 

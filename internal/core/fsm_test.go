@@ -14,23 +14,23 @@ func at(f float64) simtime.Time     { return simtime.Time(simtime.FromMillis(f))
 
 func TestFSMBasicTransitions(t *testing.T) {
 	f := NewFSM()
-	if f.Phase() != Think {
-		t.Fatalf("initial phase = %v", f.Phase())
+	if f.cur != Think {
+		t.Fatalf("initial phase = %v", f.cur)
 	}
 	// Input arrives: queue non-empty → wait.
 	f.SetQueue(1, at(100))
-	if f.Phase() != Wait {
+	if f.cur != Wait {
 		t.Fatalf("queued input should mean wait")
 	}
 	// Dequeued, CPU handling it.
 	f.SetQueue(0, at(101))
 	f.SetCPU(true, at(101))
-	if f.Phase() != Wait {
+	if f.cur != Wait {
 		t.Fatalf("busy CPU should mean wait")
 	}
 	// Handling done.
 	f.SetCPU(false, at(110))
-	if f.Phase() != Think {
+	if f.cur != Think {
 		t.Fatalf("idle+empty+noio should mean think")
 	}
 	think, wait := f.Finish(at(200))
@@ -54,7 +54,7 @@ func TestFSMSyncIOIsWait(t *testing.T) {
 	f.SetCPU(true, at(10))
 	f.SetCPU(false, at(12))
 	f.SetSyncIO(1, at(12)) // blocked on disk, CPU idle
-	if f.Phase() != Wait {
+	if f.cur != Wait {
 		t.Fatalf("sync I/O with idle CPU must be wait")
 	}
 	f.SetSyncIO(0, at(30))
@@ -164,13 +164,34 @@ func TestSpanHelpers(t *testing.T) {
 	}
 }
 
+// groundTruthBusySpans converts a probe's busy transition log into
+// closed spans, ending an open span at end if still busy.
+func groundTruthBusySpans(p *Probe, end simtime.Time) []Span {
+	var spans []Span
+	var open *Span
+	for _, b := range p.Busy {
+		if b.Busy && open == nil {
+			open = &Span{Start: b.At}
+		} else if !b.Busy && open != nil {
+			open.End = b.At
+			spans = append(spans, *open)
+			open = nil
+		}
+	}
+	if open != nil {
+		open.End = end
+		spans = append(spans, *open)
+	}
+	return spans
+}
+
 func TestGroundTruthBusySpans(t *testing.T) {
 	p := &Probe{Busy: []BusyChange{
 		{Busy: true, At: at(10)},
 		{Busy: false, At: at(15)},
 		{Busy: true, At: at(40)},
 	}}
-	spans := p.GroundTruthBusySpans(at(50))
+	spans := groundTruthBusySpans(p, at(50))
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}

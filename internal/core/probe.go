@@ -78,38 +78,6 @@ func AttachProbe(k *kernel.Kernel) *Probe {
 	return p
 }
 
-// MsgsForThread filters message records by thread id.
-func (p *Probe) MsgsForThread(id int) []trace.MsgRecord {
-	var out []trace.MsgRecord
-	for _, m := range p.Msgs {
-		if m.Thread == id {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// GroundTruthBusySpans converts the busy transition log into closed
-// spans, ending an open span at end if still busy.
-func (p *Probe) GroundTruthBusySpans(end simtime.Time) []Span {
-	var spans []Span
-	var open *Span
-	for _, b := range p.Busy {
-		if b.Busy && open == nil {
-			open = &Span{Start: b.At}
-		} else if !b.Busy && open != nil {
-			open.End = b.At
-			spans = append(spans, *open)
-			open = nil
-		}
-	}
-	if open != nil {
-		open.End = end
-		spans = append(spans, *open)
-	}
-	return spans
-}
-
 // Span is a half-open time interval [Start, End).
 type Span struct {
 	Start, End simtime.Time

@@ -79,12 +79,3 @@ func (f *CounterFile) Read(m Mode, i int) (int64, error) {
 	}
 	return (f.cpu.Count(f.sel[i]) - f.base[i]) & counterMask, nil
 }
-
-// Selected returns the event kind counter i is configured for and whether
-// it has been configured.
-func (f *CounterFile) Selected(i int) (EventKind, bool) {
-	if i < 0 || i > 1 {
-		return 0, false
-	}
-	return f.sel[i], f.on[i]
-}

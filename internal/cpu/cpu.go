@@ -36,18 +36,6 @@ type Penalties struct {
 	DomainCrossing int64
 }
 
-// DefaultPenalties returns the cost model used by all experiments; it
-// equals PenaltiesFor(machine.Pentium100()).
-func DefaultPenalties() Penalties {
-	return Penalties{
-		TLBMiss:        25,
-		CacheMiss:      20,
-		SegmentLoad:    12,
-		Unaligned:      3,
-		DomainCrossing: 500,
-	}
-}
-
 // PenaltiesFor derives the memory-event cost model from a hardware
 // profile: the TLB-miss cost is the page walk, the cache-miss cost the
 // DRAM latency, both in cycles of that profile's clock. DomainCrossing
@@ -147,15 +135,6 @@ func (c *CPU) DurationOf(cycles int64) simtime.Duration {
 func (c *CPU) SetRecorder(rec *spans.Recorder, clock func() simtime.Time) {
 	c.rec, c.clock = rec, clock
 	c.Mem.SetRecorder(rec)
-}
-
-// New returns a CPU for the paper's machine.
-//
-// Deprecated: use NewFor(machine.Pentium100()) — New is the thin
-// compatibility wrapper kept so pre-profile call sites migrate
-// mechanically.
-func New() *CPU {
-	return NewFor(machine.Pentium100())
 }
 
 // NewFor returns a CPU for the given hardware profile: its clock, a

@@ -16,18 +16,10 @@ func TestEventKindStrings(t *testing.T) {
 	if EventKind(200).String() == "" {
 		t.Fatalf("unknown kind should still format")
 	}
-	if len(EventKinds()) != int(NumEventKinds) {
-		t.Fatalf("EventKinds length wrong")
-	}
-	for i, k := range EventKinds() {
-		if int(k) != i {
-			t.Fatalf("EventKinds out of order")
-		}
-	}
 }
 
 func TestExecuteWarmVsCold(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{
 		Name:         "op",
 		BaseCycles:   1000,
@@ -58,7 +50,7 @@ func TestExecuteWarmVsCold(t *testing.T) {
 }
 
 func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{
 		BaseCycles:  100,
 		CodePages:   []uint64{1, 2, 3},
@@ -87,7 +79,7 @@ func TestDomainCrossCausesTLBMissesButNotCacheMisses(t *testing.T) {
 }
 
 func TestSegment16BitCosts(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	seg := Segment{BaseCycles: 100, SegmentLoads: 10, UnalignedAccesses: 20}
 	cycles, _ := c.Execute(seg)
 	want := int64(100) + 10*c.Penalties.SegmentLoad + 20*c.Penalties.Unaligned
@@ -116,7 +108,7 @@ func TestSegmentScale(t *testing.T) {
 }
 
 func TestAddAndSnapshot(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	c.Add(Interrupts, 5)
 	if c.Count(Interrupts) != 5 {
 		t.Fatalf("Add not reflected")
@@ -129,7 +121,7 @@ func TestAddAndSnapshot(t *testing.T) {
 }
 
 func TestCycleAt(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	if got := c.CycleAt(simtime.Time(simtime.Millisecond)); got != 100_000 {
 		t.Fatalf("CycleAt(1ms) = %d", got)
 	}
@@ -140,7 +132,7 @@ func TestCycleAt(t *testing.T) {
 // set fits in the memory structures.
 func TestWarmthMonotoneProperty(t *testing.T) {
 	f := func(nCode, nData, nChunk uint8, base uint16) bool {
-		c := New()
+		c := NewFor(machine.Pentium100())
 		seg := Segment{BaseCycles: int64(base)}
 		for i := uint8(0); i < nCode%16; i++ {
 			seg.CodePages = append(seg.CodePages, uint64(i))
@@ -161,7 +153,7 @@ func TestWarmthMonotoneProperty(t *testing.T) {
 }
 
 func TestCounterFileModeRestrictions(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	f := NewCounterFile(c)
 
 	// Cycle counter: any mode.
@@ -185,7 +177,7 @@ func TestCounterFileModeRestrictions(t *testing.T) {
 }
 
 func TestCounterFileMeasurement(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	f := NewCounterFile(c)
 	seg := Segment{BaseCycles: 10, CodePages: []uint64{1, 2}}
 	c.Execute(seg) // activity before configuration must not leak in
@@ -205,12 +197,8 @@ func TestCounterFileMeasurement(t *testing.T) {
 	if v, _ := f.Read(SystemMode, 0); v != 2 {
 		t.Fatalf("ITLB counter = %d, want 2", v)
 	}
-	k, on := f.Selected(0)
-	if !on || k != ITLBMisses {
-		t.Fatalf("Selected = %v,%v", k, on)
-	}
-	if _, on := f.Selected(5); on {
-		t.Fatalf("out-of-range Selected should be off")
+	if !f.on[0] || f.sel[0] != ITLBMisses {
+		t.Fatalf("counter 0 selects %v (on=%v), want ITLBMisses", f.sel[0], f.on[0])
 	}
 	// Unconfigured counters read as zero.
 	f2 := NewCounterFile(c)
@@ -271,7 +259,7 @@ func TestExecuteHotPathAllocFree(t *testing.T) {
 // allocate once the recorder's slab is pre-grown; detaching it restores
 // the exact untraced path (zero appends, zero allocations).
 func TestExecuteTracedAllocBounded(t *testing.T) {
-	c := New()
+	c := NewFor(machine.Pentium100())
 	rec := spans.NewRecorder(func() simtime.Time { return 0 })
 	rec.Grow(1 << 16)
 	c.SetRecorder(rec, func() simtime.Time { return 0 })
@@ -316,8 +304,8 @@ func TestTracedExecuteCostIdentical(t *testing.T) {
 		Instructions:      500,
 		DataRefs:          200,
 	}
-	plain := New()
-	traced := New()
+	plain := NewFor(machine.Pentium100())
+	traced := NewFor(machine.Pentium100())
 	rec := spans.NewRecorder(func() simtime.Time { return 0 })
 	traced.SetRecorder(rec, func() simtime.Time { return 0 })
 	for i := 0; i < 3; i++ {

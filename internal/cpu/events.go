@@ -54,12 +54,3 @@ func (k EventKind) String() string {
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
-
-// EventKinds returns all defined kinds in order.
-func EventKinds() []EventKind {
-	ks := make([]EventKind, NumEventKinds)
-	for i := range ks {
-		ks[i] = EventKind(i)
-	}
-	return ks
-}

@@ -57,13 +57,6 @@ type Params struct {
 	RetryBackoff simtime.Duration
 }
 
-// DefaultParams approximates the Fujitsu M1606SAU: ~1 GB, 5400 RPM
-// (11.1 ms/rev), ~10 ms average seek, ~5 MB/s media rate. It equals
-// ParamsFor(machine.Pentium100()).
-func DefaultParams() Params {
-	return ParamsFor(machine.Pentium100())
-}
-
 // ParamsFor derives drive parameters from a hardware profile: the
 // geometry comes from the profile, the driver retry policy (which is
 // software, not geometry) keeps its defaults.
@@ -183,9 +176,6 @@ func (d *Disk) Busy() bool { return d.busy }
 
 // Served returns the number of completed requests.
 func (d *Disk) Served() int64 { return d.served }
-
-// BusyTime returns cumulative service time.
-func (d *Disk) BusyTime() simtime.Duration { return d.busyFor }
 
 // SetFaults installs (or, with nil, removes) the fault model. With no
 // model the drive runs the exact fault-free code path: no extra random

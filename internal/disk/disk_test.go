@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"latlab/internal/machine"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +40,7 @@ func (s *fakeSched) run() {
 
 func TestServiceTimeComponents(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	p := d.Params()
 
 	// Sequential read at the head position: no seek.
@@ -64,7 +65,7 @@ func TestServiceTimeComponents(t *testing.T) {
 
 func TestFIFOCompletionOrder(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -86,14 +87,14 @@ func TestFIFOCompletionOrder(t *testing.T) {
 	if d.Served() != 5 || d.Busy() || d.QueueLen() != 0 {
 		t.Fatalf("final state wrong: served=%d busy=%v q=%d", d.Served(), d.Busy(), d.QueueLen())
 	}
-	if d.BusyTime() <= 0 {
+	if d.busyFor <= 0 {
 		t.Fatalf("busy time not accumulated")
 	}
 }
 
 func TestCompletionTimeAdvances(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	var doneAt simtime.Time
 	d.Submit(Request{Op: Write, Block: 500_000, Blocks: 16, Done: func(now simtime.Time, _ error) { doneAt = now }})
 	s.run()
@@ -110,7 +111,7 @@ func TestResubmitFromCompletion(t *testing.T) {
 	// A Done callback that submits another request must not deadlock or
 	// lose the request.
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	completions := 0
 	d.Submit(Request{Op: Read, Block: 0, Blocks: 1, Done: func(simtime.Time, error) {
 		completions++
@@ -127,7 +128,7 @@ func TestResubmitFromCompletion(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 42)
+		d := New(ParamsFor(machine.Pentium100()), s, 42)
 		var last simtime.Time
 		for i := 0; i < 20; i++ {
 			d.Submit(Request{Op: Read, Block: int64(i*37) % 1_000_000 * 2, Blocks: 8,
@@ -143,7 +144,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -168,7 +169,7 @@ func TestDiskFIFOProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%40) + 1
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, seed)
+		d := New(ParamsFor(machine.Pentium100()), s, seed)
 		r := rngNew(seed)
 		var order []int
 		var times []simtime.Time
@@ -221,7 +222,7 @@ func (f *scriptedFaults) AttemptFails(_ Op, _ int64, _ simtime.Time, attempt int
 
 func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 7)
+	d := New(ParamsFor(machine.Pentium100()), s, 7)
 	d.SetFaults(&scriptedFaults{failN: 2})
 	completions := 0
 	var gotErr error
@@ -247,7 +248,7 @@ func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 
 	// A clean run of the same request finishes earlier: retries cost time.
 	s2 := &fakeSched{}
-	d2 := New(DefaultParams(), s2, 7)
+	d2 := New(ParamsFor(machine.Pentium100()), s2, 7)
 	d2.Submit(Request{Op: Read, Block: 400_000, Blocks: 8, Done: func(now simtime.Time, _ error) {
 		cleanDone = now
 	}})
@@ -259,7 +260,7 @@ func TestRetriedRequestCompletesExactlyOnce(t *testing.T) {
 
 func TestExhaustedRetriesSurfaceMediaError(t *testing.T) {
 	s := &fakeSched{}
-	p := DefaultParams()
+	p := ParamsFor(machine.Pentium100())
 	p.MaxRetries = 3
 	d := New(p, s, 7)
 	d.SetFaults(&scriptedFaults{failN: 100}) // never succeeds
@@ -300,7 +301,7 @@ func TestExhaustedRetriesSurfaceMediaError(t *testing.T) {
 func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	run := func(fm FaultModel) simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(ParamsFor(machine.Pentium100()), s, 11)
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})
 		s.run()
@@ -309,7 +310,7 @@ func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	clean := run(nil)
 	stalled := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(ParamsFor(machine.Pentium100()), s, 11)
 		d.SetFaults(&scriptedFaults{stall: simtime.Time(simtime.FromMillis(50))})
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})
@@ -318,7 +319,7 @@ func TestFaultModelStallAndDegradeLengthenService(t *testing.T) {
 	}()
 	degraded := func() simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 11)
+		d := New(ParamsFor(machine.Pentium100()), s, 11)
 		d.SetFaults(&scriptedFaults{factor: 4})
 		var done simtime.Time
 		d.Submit(Request{Op: Read, Block: 250_000, Blocks: 8, Done: func(now simtime.Time, _ error) { done = now }})

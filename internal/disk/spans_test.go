@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"latlab/internal/machine"
 	"testing"
 
 	"latlab/internal/simtime"
@@ -12,7 +13,7 @@ import (
 // service time the drive charged.
 func TestRecorderDecomposesService(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 1)
+	d := New(ParamsFor(machine.Pentium100()), s, 1)
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
 	d.Submit(Request{Op: Write, Block: 400_000, Blocks: 8, Done: func(simtime.Time, error) {}})
@@ -26,8 +27,8 @@ func TestRecorderDecomposesService(t *testing.T) {
 			if sp.Label != "disk write" {
 				t.Errorf("container label = %q, want disk write", sp.Label)
 			}
-			if sp.Duration() != d.BusyTime() {
-				t.Errorf("container duration = %v, want service time %v", sp.Duration(), d.BusyTime())
+			if sp.Duration() != d.busyFor {
+				t.Errorf("container duration = %v, want service time %v", sp.Duration(), d.busyFor)
 			}
 		case spans.CauseDiskStall, spans.CauseDiskDegraded, spans.CauseDiskRetry:
 			t.Errorf("clean transfer emitted fault span %v", sp.Cause)
@@ -39,8 +40,8 @@ func TestRecorderDecomposesService(t *testing.T) {
 	a := spans.Attribution(rec.Spans())
 	parts := a.Dur[spans.CauseDiskCtrl] + a.Dur[spans.CauseDiskSeek] +
 		a.Dur[spans.CauseDiskRot] + a.Dur[spans.CauseDiskXfer]
-	if parts != d.BusyTime() {
-		t.Fatalf("leaf parts sum to %v, want %v", parts, d.BusyTime())
+	if parts != d.busyFor {
+		t.Fatalf("leaf parts sum to %v, want %v", parts, d.busyFor)
 	}
 	if a.Count[spans.CauseDiskXfer] != 8 {
 		t.Fatalf("xfer count = %d, want 8 blocks", a.Count[spans.CauseDiskXfer])
@@ -52,7 +53,7 @@ func TestRecorderDecomposesService(t *testing.T) {
 // degraded-surcharge parts, joined by one retry backoff.
 func TestRecorderCoversFaultPath(t *testing.T) {
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 7)
+	d := New(ParamsFor(machine.Pentium100()), s, 7)
 	d.SetFaults(&scriptedFaults{failN: 1, factor: 2, stall: simtime.Time(simtime.Millisecond)})
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
@@ -87,8 +88,8 @@ func TestRecorderCoversFaultPath(t *testing.T) {
 	// The decomposition still covers exactly what the drive charged.
 	mech := a.Dur[spans.CauseDiskCtrl] + a.Dur[spans.CauseDiskSeek] +
 		a.Dur[spans.CauseDiskRot] + a.Dur[spans.CauseDiskXfer] + a.Dur[spans.CauseDiskDegraded]
-	if mech != d.BusyTime() {
-		t.Fatalf("service parts sum to %v, want busy time %v", mech, d.BusyTime())
+	if mech != d.busyFor {
+		t.Fatalf("service parts sum to %v, want busy time %v", mech, d.busyFor)
 	}
 }
 
@@ -97,7 +98,7 @@ func TestRecorderCoversFaultPath(t *testing.T) {
 func TestRecorderDoesNotPerturbSchedule(t *testing.T) {
 	run := func(traced, faulty bool) simtime.Time {
 		s := &fakeSched{}
-		d := New(DefaultParams(), s, 42)
+		d := New(ParamsFor(machine.Pentium100()), s, 42)
 		if faulty {
 			d.SetFaults(&scriptedFaults{failN: 1, factor: 1.5, stall: simtime.Time(simtime.Millisecond)})
 		}
@@ -119,7 +120,7 @@ func TestRecorderDoesNotPerturbSchedule(t *testing.T) {
 	}
 	// SetRecorder(nil) restores the untraced path.
 	s := &fakeSched{}
-	d := New(DefaultParams(), s, 42)
+	d := New(ParamsFor(machine.Pentium100()), s, 42)
 	rec := spans.NewRecorder(s.Now)
 	d.SetRecorder(rec)
 	d.SetRecorder(nil)

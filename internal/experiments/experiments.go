@@ -63,9 +63,6 @@ type Config struct {
 	IdleArena *[]trace.IdleSample
 }
 
-// DefaultConfig returns the paper-sized configuration.
-func DefaultConfig() Config { return Config{Seed: 1996} }
-
 // MachineProfile returns the configured hardware profile, defaulted.
 func (c Config) MachineProfile() machine.Profile { return c.Machine.OrDefault() }
 
@@ -368,22 +365,6 @@ func driveChain(sys *system.System, steps []chainStep, sync bool, done *simtime.
 		})
 	}
 	waitQuiet(func(simtime.Time) { issue(0) })
-}
-
-// runChain drives steps to completion (or the deadline) and returns the
-// completion time.
-func runChain(sys *system.System, steps []chainStep, sync bool, deadline simtime.Time) simtime.Time {
-	var done simtime.Time
-	driveChain(sys, steps, sync, &done)
-	for sys.K.Now() < deadline && done == 0 {
-		sys.K.RunFor(500 * simtime.Millisecond)
-	}
-	if done == 0 {
-		panic(fmt.Sprintf("experiments: chain did not complete by %v", deadline))
-	}
-	// Trailing time so the last event's quiescence is recorded.
-	sys.K.RunFor(2 * simtime.Second)
-	return done
 }
 
 // fmtMs formats a millisecond value compactly.

@@ -16,11 +16,8 @@ import (
 	"fmt"
 	"io"
 
-	"latlab/internal/cpu"
-	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/simtime"
 	"latlab/internal/spans"
 )
 
@@ -71,68 +68,37 @@ type ExtAttribResult struct {
 	TLBSharePct float64
 }
 
-// attribCell runs the ext-hw-tlb crossing workload (each keystroke
-// makes `calls` Win32 calls, recomputing over a 48-page window after
-// each) on persona p with the span recorder attached, and reduces the
-// span log to a per-cause mean over the warm episodes.
-func attribCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, calls int) ExtAttribCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
-	rec := r.spansOn()
-	appData := make([]uint64, 48)
-	for i := range appData {
-		appData[i] = 1500 + uint64(i)
-	}
-	work := cpu.Segment{
-		Name: "attrib-work", BaseCycles: 6000,
-		Instructions: 3600, DataRefs: 1800,
-		CodePages: []uint64{320, 321}, DataPages: appData,
-	}
-	r.sys.SpawnApp("attrib", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			for i := 0; i < calls; i++ {
-				r.sys.Win.DefWindowProc(tc)
-				tc.Compute(work)
+// attribCell runs the ext-hw-tlb crossing workload (crossingWork) on
+// persona p with the span recorder attached, and reduces the span log
+// to a per-cause mean over the warm episodes.
+func attribCell(cfg Config, p persona.P, prof machine.Profile, count, calls int) ExtAttribCell {
+	ks := keySession{count: count, gapMs: 200, tailMs: 2000, pages: crossingPages, spans: true}
+	return runKeystrokes(cfg, p, prof, ks, crossingWork(calls), func(k keyRun) ExtAttribCell {
+		rec := k.r.rec
+		cell := ExtAttribCell{Persona: p.Name}
+		all := spans.Attribution(rec.Spans())
+		cell.SpanTLBCycles = all.Cycles[spans.CauseTLBMiss]
+		cell.CounterTLBCycles = k.tlbMisses() * k.r.sys.K.CPU().Penalties.TLBMiss
+
+		eps, _ := spans.Episodes(rec.Spans())
+		if len(eps) < 2 {
+			return cell
+		}
+		warm := eps[1:] // drop the cold trial
+		cell.Events = len(warm)
+		for _, ep := range warm {
+			cell.WarmMs += ep.Duration().Milliseconds()
+			for cause, d := range ep.A.Dur {
+				cell.CauseMs[cause] += d.Milliseconds()
 			}
 		}
-	})
-	r.sys.Win.BindApp([]uint64{320, 321})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
-
-	cell := ExtAttribCell{Persona: p.Name}
-	all := spans.Attribution(rec.Spans())
-	cell.SpanTLBCycles = all.Cycles[spans.CauseTLBMiss]
-	cell.CounterTLBCycles = (after[cpu.ITLBMisses] - before[cpu.ITLBMisses] +
-		after[cpu.DTLBMisses] - before[cpu.DTLBMisses]) * r.sys.K.CPU().Penalties.TLBMiss
-
-	eps, _ := spans.Episodes(rec.Spans())
-	if len(eps) < 2 {
+		n := float64(len(warm))
+		cell.WarmMs /= n
+		for cause := range cell.CauseMs {
+			cell.CauseMs[cause] /= n
+		}
 		return cell
-	}
-	warm := eps[1:] // drop the cold trial
-	cell.Events = len(warm)
-	for _, ep := range warm {
-		cell.WarmMs += ep.Duration().Milliseconds()
-		for cause, d := range ep.A.Dur {
-			cell.CauseMs[cause] += d.Milliseconds()
-		}
-	}
-	n := float64(len(warm))
-	cell.WarmMs /= n
-	for cause := range cell.CauseMs {
-		cell.CauseMs[cause] /= n
-	}
-	return cell
+	})
 }
 
 // cellByPersona returns the cell for the named persona, or a zero cell.

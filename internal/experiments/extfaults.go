@@ -105,20 +105,12 @@ func faultsTarget(r *rig, needBackground bool) faults.Target {
 	return t
 }
 
-// faultsPPT runs the paper's PowerPoint task (launch, open, page
-// through, OLE edit, save — §5.2) under plan and returns the analysis
-// row. label tags the row; an empty plan is the clean baseline. The
-// deck, paging, and pacing come from the compiled scenario run: empty
+// openPPT boots the paper's PowerPoint task (launch, open, page
+// through, OLE edit, save — §5.2) under plan without running it. label
+// tags the analysis row; an empty plan is the clean baseline. The deck,
+// paging, and pacing come from the compiled scenario run: empty
 // PageDowns means the full paper task ([9,10,10]), and each PageDowns
 // entry is one OLE edit.
-func faultsPPT(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openPPT(label, cfg, sc, plan).run()
-}
-
-// openPPT boots the PowerPoint session without running it; the chain
-// driver is installed and the session's milestone program replicates
-// runChain (500 ms poll slices, then 2 s trailing quiescence so the
-// FSM end matches the probe's last records).
 func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	params := apps.DefaultPowerpointParams()
 	if sc.prm.Slides != 0 {
@@ -155,26 +147,11 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 		simtime.Time(secs(defF(sc.prm.DeadlineS, 380))))
 }
 
-// openChain installs a completion-paced chain driver and wraps it as a
-// session whose milestone program is runChain's exact loop.
-func openChain(label string, r *rig, t *kernel.Thread, steps []chainStep, sync bool, deadline simtime.Time) *ScenarioSession {
-	s := &ScenarioSession{r: r, label: label, thread: t,
-		kind: sessChain, deadline: deadline, chainDone: new(simtime.Time)}
-	driveChain(r.sys, steps, sync, s.chainDone)
-	s.target = r.sys.K.Now().Add(500 * simtime.Millisecond)
-	return s
-}
-
-// faultsTyping runs a paced Notepad typing session under plan. Input
-// comes from the scenario run: the seeded typist by default, or the
-// document's explicit stanza timeline.
-func faultsTyping(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openTyping(label, cfg, sc, plan).run()
-}
-
-// openTyping boots the typing session without running it. The whole
-// input script is installed up front, so the milestone program is one
-// Run to the script end plus trailing time.
+// openTyping boots a paced Notepad typing session under plan without
+// running it. Input comes from the scenario run: the seeded typist by
+// default, or the document's explicit stanza timeline. The whole input
+// script is installed up front, so the milestone program is one Run to
+// the script end plus trailing time.
 func openTyping(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	r := newRig(cfg, sc.p, 240)
 	faults.NewClock(plan).Arm(faultsTarget(r, true))
@@ -204,17 +181,13 @@ func faultsRow(label string, r *rig, t *kernel.Thread, end simtime.Time) ExtFaul
 	}
 }
 
-// faultsBrowser runs a document-browser session whose warmth lives in
-// the buffer cache: each page-down reads the next 64-page window of a
-// large report file in small chunks, cycling through the file twice, so
-// the second pass is cache-warm on a clean machine and cold again under
-// eviction pressure — the paper's "effects of the file system cache"
-// phenomenon produced (and destroyed) on demand.
-func faultsBrowser(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-	return openBrowser(label, cfg, sc, plan).run()
-}
-
-// openBrowser boots the browsing session without running it.
+// openBrowser boots, without running it, a document-browser session
+// whose warmth lives in the buffer cache: each page-down reads the next
+// 64-page window of a large report file in small chunks, cycling
+// through the file twice, so the second pass is cache-warm on a clean
+// machine and cold again under eviction pressure — the paper's "effects
+// of the file system cache" phenomenon produced (and destroyed) on
+// demand.
 func openBrowser(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSession {
 	const viewPages, chunk = 64, 8
 	views := sc.prm.Views

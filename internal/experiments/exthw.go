@@ -16,7 +16,6 @@ import (
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/simtime"
 	"latlab/internal/stats"
 )
 
@@ -37,74 +36,38 @@ type ExtHWCell struct {
 	CrossingsPerEvent   float64
 }
 
-// hwMemCell boots persona p on machine prof and drives keystrokes whose
-// handler echoes one character through the persona's Win32 path
-// (TextOut: two crossings on NT 3.51, none elsewhere) and then renders
-// over `perEvent` cache chunks drawn from a circular `window` of
-// distinct chunks. With window == perEvent the working set is fixed
-// and L2-resident (misses once, then warm); with window much larger
-// than the L2 the handler streams and every reference goes to DRAM on
-// every event — the knob that makes an event compute-bound or
-// memory-bound on a given machine.
-func hwMemCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, perEvent, window int) ExtHWCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
+// hwMemCell boots persona p on machine prof and drives count
+// keystrokes through a streamingRender handler over perEvent chunks of
+// a window of distinct chunks.
+func hwMemCell(cfg Config, p persona.P, prof machine.Profile, count, perEvent, window int) ExtHWCell {
 	render := cpu.Segment{
 		Name: "hw-render", BaseCycles: 100_000,
 		Instructions: 60_000, DataRefs: 30_000,
 		CodePages: []uint64{400, 401}, DataPages: []uint64{402, 403},
 	}
-	pos := 0
-	app := r.sys.SpawnApp("hwmem", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			r.sys.Win.TextOut(tc, 1)
-			seg := render
-			seg.CacheChunks = make([]uint64, perEvent)
-			for i := range seg.CacheChunks {
-				seg.CacheChunks[i] = 100_000 + uint64((pos+i)%window)
-			}
-			pos = (pos + perEvent) % window
-			tc.Compute(seg)
-		}
-	})
-	r.sys.Win.BindApp([]uint64{400, 401})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
-
-	events := r.extract(app, false)
-	cell := ExtHWCell{Persona: p.Name, Machine: prof.Short}
-	if len(events) < 2 {
-		return cell
-	}
-	var warm []float64
-	for _, ev := range events[1:] { // drop the cold trial
-		warm = append(warm, ev.Latency.Milliseconds())
-	}
-	n := float64(len(events))
-	cell.Events = len(warm)
-	cell.Latency = stats.Summarize(warm)
-	cell.TLBMissesPerEvent = float64(after[cpu.ITLBMisses]-before[cpu.ITLBMisses]+
-		after[cpu.DTLBMisses]-before[cpu.DTLBMisses]) / n
-	cell.CacheMissesPerEvent = float64(after[cpu.CacheMisses]-before[cpu.CacheMisses]) / n
-	cell.CrossingsPerEvent = float64(after[cpu.DomainCrossings]-before[cpu.DomainCrossings]) / n
-	return cell
+	return hwCell(cfg, p, prof, count, render.CodePages, streamingRender(render, perEvent, window))
 }
 
-// hwKeystrokes picks the session length.
-func hwKeystrokes(cfg Config) int {
-	if cfg.Quick {
-		return 8
-	}
-	return 24
+// hwCell runs one keystroke session of body at the 200 ms pitch and
+// summarizes its warm latency and per-event counter rates. The rates
+// divide whole-run deltas by the event count, cold event included.
+func hwCell(cfg Config, p persona.P, prof machine.Profile, count int, pages []uint64,
+	body func(r *rig, tc *kernel.TC)) ExtHWCell {
+	ks := keySession{count: count, gapMs: 200, tailMs: 2000, pages: pages}
+	return runKeystrokes(cfg, p, prof, ks, body, func(k keyRun) ExtHWCell {
+		cell := ExtHWCell{Persona: p.Name, Machine: prof.Short}
+		warm := k.warm()
+		if warm == nil {
+			return cell
+		}
+		n := float64(len(k.events))
+		cell.Events = len(warm)
+		cell.Latency = stats.Summarize(latenciesMs(warm))
+		cell.TLBMissesPerEvent = float64(k.tlbMisses()) / n
+		cell.CacheMissesPerEvent = float64(k.delta[cpu.CacheMisses]) / n
+		cell.CrossingsPerEvent = float64(k.delta[cpu.DomainCrossings]) / n
+		return cell
+	})
 }
 
 // cellFor returns the cell for (persona, machine short), or a zero cell.
@@ -161,7 +124,7 @@ func runExtHWClock(ctx context.Context, cfg Config) (Result, error) {
 			}
 			// Stream 4000 chunks per event through a window twice the L2:
 			// the redraw's DRAM share cannot be clocked away.
-			res.Cells = append(res.Cells, hwMemCell(cfg, p, prof, hwKeystrokes(cfg), 4000, 16384))
+			res.Cells = append(res.Cells, hwMemCell(cfg, p, prof, sessionKeystrokes(cfg), 4000, 16384))
 		}
 	}
 	return res, nil
@@ -206,7 +169,7 @@ func runExtHWL2(ctx context.Context, cfg Config) (Result, error) {
 		}
 		// The same 6000 chunks every event: fits the 8192-line L2, so it
 		// misses once and stays warm — unless there is no L2 at all.
-		res.Cells = append(res.Cells, hwMemCell(cfg, persona.NT40(), prof, hwKeystrokes(cfg), 6000, 6000))
+		res.Cells = append(res.Cells, hwMemCell(cfg, persona.NT40(), prof, sessionKeystrokes(cfg), 6000, 6000))
 	}
 	return res, nil
 }
@@ -234,63 +197,6 @@ type ExtHWTLBResult struct {
 	// TLB erases all of it by construction; reporting it shows how much
 	// of the persona's own latency the crossings' flushes cost.
 	FlushPenalty float64
-}
-
-// hwCrossCell measures a crossing-heavy event: each keystroke makes
-// `calls` Win32 calls, and after every call the application recomputes
-// over a 48-page data window. On NT 3.51's untagged machine the return
-// crossing has flushed the DTLB, so that window refills on every call;
-// NT 4.0 pays one refill per event (the process-switch flush), and a
-// tagged TLB pays none.
-func hwCrossCell(cfg Config, p persona.P, prof machine.Profile, keystrokes, calls int) ExtHWCell {
-	r := newRigOn(cfg, p, prof, keystrokes/2+20)
-	defer r.shutdown()
-	appData := make([]uint64, 48)
-	for i := range appData {
-		appData[i] = 1500 + uint64(i)
-	}
-	work := cpu.Segment{
-		Name: "hw-crosswork", BaseCycles: 6000,
-		Instructions: 3600, DataRefs: 1800,
-		CodePages: []uint64{320, 321}, DataPages: appData,
-	}
-	app := r.sys.SpawnApp("hwcross", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
-			}
-			for i := 0; i < calls; i++ {
-				r.sys.Win.DefWindowProc(tc)
-				tc.Compute(work)
-			}
-		}
-	})
-	r.sys.Win.BindApp([]uint64{320, 321})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*200) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*200)*simtime.Time(simtime.Millisecond) + simtime.Time(2*simtime.Second))
-	after := r.sys.K.CPU().Snapshot()
-
-	events := r.extract(app, false)
-	cell := ExtHWCell{Persona: p.Name, Machine: prof.Short}
-	if len(events) < 2 {
-		return cell
-	}
-	var warm []float64
-	for _, ev := range events[1:] {
-		warm = append(warm, ev.Latency.Milliseconds())
-	}
-	n := float64(len(events))
-	cell.Events = len(warm)
-	cell.Latency = stats.Summarize(warm)
-	cell.TLBMissesPerEvent = float64(after[cpu.ITLBMisses]-before[cpu.ITLBMisses]+
-		after[cpu.DTLBMisses]-before[cpu.DTLBMisses]) / n
-	cell.CrossingsPerEvent = float64(after[cpu.DomainCrossings]-before[cpu.DomainCrossings]) / n
-	return cell
 }
 
 // ExperimentID implements Result.
@@ -332,7 +238,7 @@ func runExtHWTLB(ctx context.Context, cfg Config) (Result, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, hwCrossCell(cfg, p, prof, keystrokes, calls))
+			res.Cells = append(res.Cells, hwCell(cfg, p, prof, keystrokes, crossingPages, crossingWork(calls)))
 		}
 	}
 	nt351, nt40 := persona.NT351().Name, persona.NT40().Name

@@ -67,63 +67,29 @@ type ModernCell struct {
 // (starting at 500 ms), letting body handle each one, and returns the
 // finished cell. tailMs of quiet time at the end lets the last event
 // complete and the DVFS governor decay.
-func modernRun(cfg Config, p persona.P, prof machine.Profile, keystrokes int, gapMs, tailMs int64,
+func modernRun(cfg Config, p persona.P, prof machine.Profile, count int, gapMs, tailMs int64,
 	body func(r *rig, tc *kernel.TC)) ModernCell {
-	runSeconds := int((500+int64(keystrokes)*gapMs+tailMs)/1000) + 2
-	r := newRigOn(cfg, p, prof, runSeconds)
-	defer r.shutdown()
-	app := r.sys.SpawnApp("modern", func(tc *kernel.TC) {
-		for {
-			m := tc.GetMessage()
-			if m.Kind == kernel.WMQuit {
-				return
+	ks := keySession{count: count, gapMs: gapMs, tailMs: tailMs, pages: []uint64{420, 421}}
+	return runKeystrokes(cfg, p, prof, ks, body, func(k keyRun) ModernCell {
+		cell := ModernCell{Machine: prof.Short, Era: prof.Era}
+		if warm := k.warm(); warm != nil {
+			model := perception.Default()
+			for _, ev := range warm {
+				cell.Classes.Add(model.ClassifyKind(ev.Kind, ev.Latency.Milliseconds()))
 			}
-			if m.Kind != kernel.WMKeyDown {
-				continue
-			}
-			body(r, tc)
+			cell.Events = len(warm)
+			cell.Latency = stats.Summarize(latenciesMs(warm))
 		}
+		kern := k.r.sys.K
+		for _, s := range k.r.il.Samples() {
+			cell.ReportedBusy += s.Stolen(core.NominalSample)
+		}
+		cell.KernelBusy = kern.NonIdleBusyTime()
+		cell.AuxBusy = kern.AuxBusyTime()
+		cell.AuxMigrations = kern.AuxMigrations()
+		cell.OtherInterrupts = k.delta[cpu.Interrupts] - k.ticks
+		return cell
 	})
-	r.sys.Win.BindApp([]uint64{420, 421})
-	for i := 0; i < keystrokes; i++ {
-		at := simtime.Time(500+int64(i)*gapMs) * simtime.Time(simtime.Millisecond)
-		r.sys.K.At(at, func(simtime.Time) { r.sys.Inject(kernel.WMKeyDown, 'a', false) })
-	}
-	before := r.sys.K.CPU().Snapshot()
-	ticksBefore := r.sys.K.ClockTicks()
-	r.sys.K.Run(simtime.Time(500+int64(keystrokes)*gapMs+tailMs) * simtime.Time(simtime.Millisecond))
-	after := r.sys.K.CPU().Snapshot()
-
-	cell := ModernCell{Machine: prof.Short, Era: prof.Era}
-	events := r.extract(app, false)
-	if len(events) >= 2 {
-		model := perception.Default()
-		var warm []float64
-		for _, ev := range events[1:] {
-			ms := ev.Latency.Milliseconds()
-			warm = append(warm, ms)
-			cell.Classes.Add(model.ClassifyKind(ev.Kind, ms))
-		}
-		cell.Events = len(warm)
-		cell.Latency = stats.Summarize(warm)
-	}
-	for _, s := range r.il.Samples() {
-		cell.ReportedBusy += s.Stolen(core.NominalSample)
-	}
-	cell.KernelBusy = r.sys.K.NonIdleBusyTime()
-	cell.AuxBusy = r.sys.K.AuxBusyTime()
-	cell.AuxMigrations = r.sys.K.AuxMigrations()
-	cell.OtherInterrupts = after[cpu.Interrupts] - before[cpu.Interrupts] -
-		(r.sys.K.ClockTicks() - ticksBefore)
-	return cell
-}
-
-// modernKeystrokes picks the session length.
-func modernKeystrokes(cfg Config) int {
-	if cfg.Quick {
-		return 8
-	}
-	return 24
 }
 
 // classShare renders the cell's imperceptible share as a table field.
@@ -179,23 +145,13 @@ func runExtModernClock(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pos := 0
 		render := cpu.Segment{
 			Name: "modern-render", BaseCycles: 100_000,
 			Instructions: 60_000, DataRefs: 30_000,
 			CodePages: []uint64{420, 421}, DataPages: []uint64{422, 423},
 		}
-		cell := modernRun(cfg, persona.NT40(), prof, modernKeystrokes(cfg), 200, 2000,
-			func(r *rig, tc *kernel.TC) {
-				r.sys.Win.TextOut(tc, 1)
-				seg := render
-				seg.CacheChunks = make([]uint64, 4000)
-				for i := range seg.CacheChunks {
-					seg.CacheChunks[i] = 100_000 + uint64((pos+i)%16384)
-				}
-				pos = (pos + 4000) % 16384
-				tc.Compute(seg)
-			})
+		cell := modernRun(cfg, persona.NT40(), prof, sessionKeystrokes(cfg), 200, 2000,
+			streamingRender(render, 4000, 16384))
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
@@ -252,7 +208,7 @@ func runExtModernDVFS(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cell := modernRun(cfg, persona.NT40(), prof, modernKeystrokes(cfg), 200, 2000,
+		cell := modernRun(cfg, persona.NT40(), prof, sessionKeystrokes(cfg), 200, 2000,
 			func(r *rig, tc *kernel.TC) {
 				r.sys.Win.TextOut(tc, 1)
 				tc.Compute(burst)
@@ -299,7 +255,7 @@ func (r *ExtModernNVMeResult) Render(w io.Writer) error {
 
 func runExtModernNVMe(ctx context.Context, cfg Config) (Result, error) {
 	res := &ExtModernNVMeResult{}
-	keystrokes := modernKeystrokes(cfg)
+	keystrokes := sessionKeystrokes(cfg)
 	const readsPerEvent, pagesPerRead = 10, 8
 	think := cpu.Segment{
 		Name: "modern-parse", BaseCycles: 200_000,
@@ -370,7 +326,7 @@ func (r *ExtModernIRQResult) Render(w io.Writer) error {
 
 func runExtModernIRQ(ctx context.Context, cfg Config) (Result, error) {
 	res := &ExtModernIRQResult{}
-	keystrokes := modernKeystrokes(cfg)
+	keystrokes := sessionKeystrokes(cfg)
 	// fanout stays under the coalescer's MaxBatch (8) so the final
 	// partial batch must wait out the full 200 µs window — the worst
 	// case for the latency side of the trade.
@@ -462,7 +418,7 @@ func runExtModernSMT(ctx context.Context, cfg Config) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cell := modernRun(cfg, persona.W95(), prof, modernKeystrokes(cfg), 150, 1500,
+		cell := modernRun(cfg, persona.W95(), prof, sessionKeystrokes(cfg), 150, 1500,
 			func(r *rig, tc *kernel.TC) {
 				r.sys.Win.TextOut(tc, 1)
 				tc.Compute(echo)

@@ -79,7 +79,6 @@ func pptSimulate(p persona.P, cfg Config) *pptRun {
 	}
 
 	r := newRig(cfg, p, 220)
-	defer r.shutdown()
 	ppt := apps.NewPowerpoint(r.sys, params)
 
 	think := 300 * simtime.Millisecond
@@ -99,7 +98,10 @@ func pptSimulate(p persona.P, cfg Config) *pptRun {
 	}
 	steps = append(steps, step(kernel.WMCommand, apps.CmdSave, think))
 
-	done := runChain(r.sys, steps, true, simtime.Time(200*simtime.Second))
+	s := openChain("", r, ppt.Thread(), steps, true, simtime.Time(200*simtime.Second))
+	defer s.Close()
+	s.run()
+	done := *s.chainDone
 	events := r.extract(ppt.Thread(), true)
 
 	run := &pptRun{events: events, elapsed: simtime.Duration(done)}

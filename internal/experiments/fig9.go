@@ -102,7 +102,7 @@ func pptWarmRig(r *rig, objectEverySlide bool) *apps.Powerpoint {
 		step(kernel.WMCommand, apps.CmdLaunch, 200*simtime.Millisecond),
 		step(kernel.WMCommand, apps.CmdOpen, 200*simtime.Millisecond),
 	}
-	runChain(r.sys, steps, false, simtime.Time(120*simtime.Second))
+	openChain("", r, nil, steps, false, simtime.Time(120*simtime.Second)).run()
 	return ppt
 }
 

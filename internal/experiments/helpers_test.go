@@ -32,7 +32,7 @@ func TestFmtMs(t *testing.T) {
 }
 
 func TestRunChainDeadlinePanics(t *testing.T) {
-	r := newRig(DefaultConfig(), persona.NT40(), 10)
+	r := newRig(full(), persona.NT40(), 10)
 	defer r.shutdown()
 	apps.NewNotepad(r.sys, 250_000)
 	defer func() {
@@ -44,13 +44,13 @@ func TestRunChainDeadlinePanics(t *testing.T) {
 	}()
 	// A step that never quiesces in time: inject a command the notepad
 	// ignores but give an impossible deadline (now).
-	runChain(r.sys, []chainStep{step(kernel.WMChar, 'a', simtime.Second)}, false, r.sys.K.Now())
+	openChain("", r, nil, []chainStep{step(kernel.WMChar, 'a', simtime.Second)}, false, r.sys.K.Now()).run()
 }
 
 func TestChainPacingWaitsForCompletion(t *testing.T) {
 	// Each chain step must start at least `think` after the previous
 	// event's completion.
-	r := newRig(DefaultConfig(), persona.NT40(), 30)
+	r := newRig(full(), persona.NT40(), 30)
 	defer r.shutdown()
 	n := apps.NewNotepad(r.sys, 250_000)
 	think := 300 * simtime.Millisecond
@@ -59,7 +59,7 @@ func TestChainPacingWaitsForCompletion(t *testing.T) {
 		step(kernel.WMChar, 'b', think),
 		step(kernel.WMChar, 'c', think),
 	}
-	runChain(r.sys, steps, false, simtime.Time(20*simtime.Second))
+	openChain("", r, nil, steps, false, simtime.Time(20*simtime.Second)).run()
 	events := r.extract(n.Thread(), false)
 	if len(events) != 3 {
 		t.Fatalf("events = %d", len(events))

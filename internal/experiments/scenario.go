@@ -9,7 +9,6 @@ import (
 	"latlab/internal/core"
 	"latlab/internal/faults"
 	"latlab/internal/input"
-	"latlab/internal/machine"
 	"latlab/internal/persona"
 	"latlab/internal/scenario"
 	"latlab/internal/simtime"
@@ -18,8 +17,9 @@ import (
 // This file is the scenario compiler: FromScenario lowers a declarative
 // scenario.Doc onto the same machinery the hand-written experiments
 // use — system.New (via newRig), input.Script, faults.Generate,
-// machine.ByShort — so a file-backed experiment and a Go-registered one
-// share a single code path through the runner. The ext-faults-* specs
+// machine.ByShort — and every run goes through ScenarioSession
+// (session.go), so a file-backed experiment, a Go-registered one and a
+// campaign session share a single code path. The ext-faults-* specs
 // are themselves registered from documents (see extfaults.go), and
 // their JSON twins under testdata/scenarios/ are proven byte-identical
 // by TestScenarioTwinsMatchGoRegistered.
@@ -46,29 +46,6 @@ func FromScenario(doc scenario.Doc) (Spec, error) {
 	}, nil
 }
 
-// RegisterScenario loads the scenario document at path, compiles it,
-// and adds it to the experiment registry (panicking on a duplicate id,
-// like Register). A non-empty id overrides the document's own. It
-// returns the registered Spec so callers can run it directly.
-func RegisterScenario(id, path string) (Spec, error) {
-	doc, err := scenario.ParseFile(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	if id != "" {
-		doc.ID = id
-		if err := doc.Validate(); err != nil {
-			return Spec{}, err
-		}
-	}
-	spec, err := FromScenario(doc)
-	if err != nil {
-		return Spec{}, err
-	}
-	Register(spec)
-	return spec, nil
-}
-
 // scRun is one compiled workload invocation: everything a driver needs
 // beyond the label and fault plan.
 type scRun struct {
@@ -78,74 +55,41 @@ type scRun struct {
 	seed    uint64
 }
 
-// runScenario resolves doc against cfg and executes it.
+// runScenario resolves doc against cfg and executes it: one session
+// for a single run, one per row for a compare document, each opened,
+// stepped to its end and reduced to its result.
 func runScenario(ctx context.Context, cfg Config, doc scenario.Doc) (Result, error) {
-	if doc.Seed != 0 {
-		cfg.Seed = doc.Seed
-	}
-	if doc.Machine != "" {
-		prof, ok := machine.ByShort(doc.Machine)
-		if !ok {
-			return nil, fmt.Errorf("scenario %s: unknown machine %q", doc.ID, doc.Machine)
-		}
-		cfg.Machine = prof
-	}
-	p, ok := persona.ByShort(doc.Persona)
-	if !ok {
-		return nil, fmt.Errorf("scenario %s: unknown persona %q", doc.ID, doc.Persona)
-	}
-	open, err := scenarioOpener(doc.Workload.Kind)
+	rs, err := resolveScenario(cfg, doc)
 	if err != nil {
 		return nil, err
 	}
-	driver := func(label string, cfg Config, sc scRun, plan faults.Plan) ExtFaultsRow {
-		return open(label, cfg, sc, plan).run()
-	}
-	sc := scRun{p: p, prm: doc.Workload.Resolve(cfg.Quick), stanzas: doc.Input, seed: cfg.Seed}
-	plan := scenarioPlan(doc, cfg)
-
-	if len(doc.Compare) > 0 {
-		res := &ExtFaultsResult{ID: doc.ID, Title: doc.BannerOrTitle(), Plan: plan}
-		for _, row := range doc.Compare {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rowPlan := faults.Plan{}
-			if row.Faulted {
-				rowPlan = plan
-			}
-			res.Rows = append(res.Rows, driver(row.Label, cfg, sc, rowPlan))
+	if len(doc.Compare) == 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return res, nil
+		return rs.runSession("run", rs.plan), nil
 	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := &ScenarioResult{
-		DocID:   doc.ID,
-		Banner:  doc.BannerOrTitle(),
-		Persona: doc.Persona,
-		Machine: cfg.MachineProfile().Short,
-		Seed:    cfg.Seed,
-		Plan:    plan,
-		Row:     driver("run", cfg, sc, plan),
+	res := &ExtFaultsResult{ID: doc.ID, Title: doc.BannerOrTitle(), Plan: rs.plan}
+	for _, row := range doc.Compare {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rowPlan := faults.Plan{}
+		if row.Faulted {
+			rowPlan = rs.plan
+		}
+		res.Rows = append(res.Rows, rs.runSession(row.Label, rowPlan).Row)
 	}
 	return res, nil
 }
 
-// scenarioOpener maps a workload kind to its session opener.
-func scenarioOpener(kind string) (func(string, Config, scRun, faults.Plan) *ScenarioSession, error) {
-	switch kind {
-	case scenario.KindTyping:
-		return openTyping, nil
-	case scenario.KindPowerpoint:
-		return openPPT, nil
-	case scenario.KindBrowse:
-		return openBrowser, nil
-	default:
-		return nil, fmt.Errorf("scenario: no driver for workload kind %q", kind)
-	}
+// runSession opens one session under plan, steps it to its end and
+// returns its result; the machine is released even if the run panics.
+func (rs resolvedScenario) runSession(label string, plan faults.Plan) *ScenarioResult {
+	s := rs.open(label, plan)
+	defer s.Close()
+	s.run()
+	return s.Result()
 }
 
 // scenarioPlan resolves the document's fault plan against the

@@ -171,7 +171,7 @@ func TestArmedRunsReproducible(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			at := simtime.Time(secs(0.4 + 0.4*float64(i)))
 			k.At(at, func(simtime.Time) {
-				k.Cache().EvictAll() // force every read cold
+				k.Cache().EvictOldest(400) // force every read cold
 				k.Cache().Read(id, 0, 300, func(simtime.Time, error) {})
 			})
 		}

@@ -61,30 +61,11 @@ func (c *Cache) AddFile(name string, startBlock, sizePages int64) FileID {
 	return id
 }
 
-// FileName returns the registered name of id.
-func (c *Cache) FileName(id FileID) string {
-	if f, ok := c.files[id]; ok {
-		return f.name
-	}
-	return fmt.Sprintf("file(%d)", int(id))
-}
-
-// FilePages returns the size of id in pages.
-func (c *Cache) FilePages(id FileID) int64 {
-	if f, ok := c.files[id]; ok {
-		return f.pages
-	}
-	return 0
-}
-
 // Hits reports page-level cache hits.
 func (c *Cache) Hits() int64 { return c.hits }
 
 // Misses reports page-level cache misses.
 func (c *Cache) Misses() int64 { return c.misses }
-
-// Writes counts pages written through.
-func (c *Cache) Writes() int64 { return c.writes }
 
 // ForcedEvictions counts pages evicted through EvictOldest (fault-layer
 // pressure), excluding ordinary capacity evictions.
@@ -93,33 +74,9 @@ func (c *Cache) ForcedEvictions() int64 { return c.evictions }
 // IOErrors counts page reads/writes that completed with a device error.
 func (c *Cache) IOErrors() int64 { return c.ioErrs }
 
-// HitRate returns hits / (hits+misses), or 1 when nothing was accessed.
-func (c *Cache) HitRate() float64 {
-	if c.hits+c.misses == 0 {
-		return 1
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
 // pageKey builds the LRU identifier for (file, page).
 func pageKey(id FileID, page int64) uint64 {
 	return uint64(id)<<40 | uint64(page)
-}
-
-// Resident reports whether a page is cached, without touching recency.
-func (c *Cache) Resident(id FileID, page int64) bool {
-	return c.lru.Contains(pageKey(id, page))
-}
-
-// ResidentCount returns how many of the first n pages of id are cached.
-func (c *Cache) ResidentCount(id FileID, n int64) int64 {
-	var r int64
-	for p := int64(0); p < n; p++ {
-		if c.Resident(id, p) {
-			r++
-		}
-	}
-	return r
 }
 
 // Read fetches pages [firstPage, firstPage+nPages) of id. Cached pages
@@ -230,10 +187,6 @@ func (c *Cache) Write(id FileID, firstPage, nPages int64, done func(now simtime.
 		},
 	})
 }
-
-// EvictAll empties the cache (models a cold boot without rebuilding the
-// file table).
-func (c *Cache) EvictAll() { c.lru.Flush() }
 
 // EvictOldest discards up to n least-recently-used pages and returns how
 // many were evicted. The fault layer uses it to model memory pressure

@@ -1,6 +1,7 @@
 package fscache
 
 import (
+	"latlab/internal/machine"
 	"testing"
 
 	"latlab/internal/disk"
@@ -30,7 +31,7 @@ func (s *fakeSched) run() {
 
 func newCache(pages int) (*Cache, *fakeSched) {
 	s := &fakeSched{}
-	d := disk.New(disk.DefaultParams(), s, 7)
+	d := disk.New(disk.ParamsFor(machine.Pentium100()), s, 7)
 	return New(d, pages), s
 }
 
@@ -50,8 +51,8 @@ func TestColdReadThenWarmRead(t *testing.T) {
 	if !done {
 		t.Fatalf("cold read never completed")
 	}
-	if c.ResidentCount(f, 64) != 16 {
-		t.Fatalf("resident = %d, want 16", c.ResidentCount(f, 64))
+	if residentCount(c, f, 64) != 16 {
+		t.Fatalf("resident = %d, want 16", residentCount(c, f, 64))
 	}
 
 	// Warm read: synchronous completion, zero misses.
@@ -87,9 +88,25 @@ func TestPartialHitCoalescing(t *testing.T) {
 	if got := diskOf(c).Served() - servedBefore; got != 2 {
 		t.Fatalf("disk requests = %d, want 2 coalesced runs", got)
 	}
-	if c.ResidentCount(f, 16) != 16 {
+	if residentCount(c, f, 16) != 16 {
 		t.Fatalf("all 16 pages should be resident")
 	}
+}
+
+// resident reports whether page of id is cached.
+func resident(c *Cache, id FileID, page int64) bool {
+	return c.lru.Contains(pageKey(id, page))
+}
+
+// residentCount returns how many of the first n pages of id are cached.
+func residentCount(c *Cache, id FileID, n int64) int64 {
+	var r int64
+	for p := int64(0); p < n; p++ {
+		if resident(c, id, p) {
+			r++
+		}
+	}
+	return r
 }
 
 // diskOf exposes the cache's disk for assertions.
@@ -100,16 +117,16 @@ func TestLRUEviction(t *testing.T) {
 	f := c.AddFile("big", 0, 64)
 	c.Read(f, 0, 8, func(simtime.Time, error) {})
 	s.run()
-	if c.ResidentCount(f, 64) != 8 {
-		t.Fatalf("resident = %d", c.ResidentCount(f, 64))
+	if residentCount(c, f, 64) != 8 {
+		t.Fatalf("resident = %d", residentCount(c, f, 64))
 	}
 	// Reading 8 more pages evicts the first 8.
 	c.Read(f, 8, 8, func(simtime.Time, error) {})
 	s.run()
-	if c.Resident(f, 0) {
+	if resident(c, f, 0) {
 		t.Fatalf("page 0 should have been evicted")
 	}
-	if !c.Resident(f, 15) {
+	if !resident(c, f, 15) {
 		t.Fatalf("page 15 should be resident")
 	}
 }
@@ -119,7 +136,7 @@ func TestWriteThrough(t *testing.T) {
 	f := c.AddFile("save.ppt", 50_000, 32)
 	var doneAt simtime.Time
 	c.Write(f, 0, 32, func(now simtime.Time, _ error) { doneAt = now })
-	if c.ResidentCount(f, 32) != 32 {
+	if residentCount(c, f, 32) != 32 {
 		t.Fatalf("written pages should be resident immediately")
 	}
 	if doneAt != 0 {
@@ -129,23 +146,12 @@ func TestWriteThrough(t *testing.T) {
 	if doneAt <= 0 {
 		t.Fatalf("write never reached the disk")
 	}
-	if c.Writes() != 32 {
-		t.Fatalf("writes = %d", c.Writes())
+	if c.writes != 32 {
+		t.Fatalf("writes = %d", c.writes)
 	}
 	// Subsequent read is all hits.
 	if miss := c.Read(f, 0, 32, func(simtime.Time, error) {}); miss != 0 {
 		t.Fatalf("read-after-write misses = %d", miss)
-	}
-}
-
-func TestEvictAll(t *testing.T) {
-	c, s := newCache(64)
-	f := c.AddFile("x", 0, 8)
-	c.Read(f, 0, 8, func(simtime.Time, error) {})
-	s.run()
-	c.EvictAll()
-	if c.ResidentCount(f, 8) != 0 {
-		t.Fatalf("EvictAll left residents")
 	}
 }
 
@@ -194,13 +200,7 @@ func TestReadValidation(t *testing.T) {
 func TestFileMetadata(t *testing.T) {
 	c, _ := newCache(8)
 	f := c.AddFile("notepad.exe", 0, 40)
-	if c.FileName(f) != "notepad.exe" || c.FilePages(f) != 40 {
+	if c.files[f].name != "notepad.exe" || c.files[f].pages != 40 {
 		t.Fatalf("metadata wrong")
-	}
-	if c.FilePages(FileID(9)) != 0 {
-		t.Fatalf("unknown file size should be 0")
-	}
-	if c.FileName(FileID(9)) == "" {
-		t.Fatalf("unknown file name should format")
 	}
 }

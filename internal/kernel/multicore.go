@@ -272,10 +272,6 @@ func (k *Kernel) dvfsTick() {
 	}
 }
 
-// DVFSLevel returns the governor's current ladder position (0 when the
-// machine has no governor).
-func (k *Kernel) DVFSLevel() int { return k.dvfsLevel }
-
 // raiseDiskInterrupt delivers a disk-completion action. Without
 // coalescing it raises one DiskInterrupt per completion — the exact
 // 1996 path. With coalescing (IRQCoalesceSpec), the first pending

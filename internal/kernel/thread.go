@@ -189,9 +189,6 @@ func (t *Thread) ID() int { return t.id }
 // Name returns the thread name.
 func (t *Thread) Name() string { return t.name }
 
-// Proc returns the owning process.
-func (t *Thread) Proc() ProcID { return t.proc }
-
 // Priority returns the scheduling priority (higher runs first).
 func (t *Thread) Priority() int { return t.prio }
 
@@ -289,11 +286,6 @@ func (tc *TC) PendingUserInput() bool {
 	return false
 }
 
-// Post appends a message to target's queue.
-func (tc *TC) Post(target *Thread, kind MsgKind, param int64) {
-	tc.call(request{kind: reqPost, target: target, msg: Msg{Kind: kind, Param: param}})
-}
-
 // Forward re-posts a received message to target preserving its original
 // Enqueued stamp, so latency measured from the hardware event survives
 // system-internal routing (the Windows 95 mouse path).
@@ -343,11 +335,6 @@ func (tc *TC) ReadFileAsync(file fscache.FileID, page, pages int64, kind MsgKind
 		// All pages were resident: complete immediately.
 		k.deliver(t, Msg{Kind: kind, Param: param})
 	}
-}
-
-// Yield surrenders the CPU to an equal-priority thread, if any.
-func (tc *TC) Yield() {
-	tc.call(request{kind: reqYield})
 }
 
 // SetTimer arranges for a message to be posted to this thread after d

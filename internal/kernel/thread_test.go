@@ -8,6 +8,13 @@ import (
 	"latlab/internal/simtime"
 )
 
+// Yield surrenders the CPU to an equal-priority thread, if any. No
+// modeled application yields; the tests use it to drive the scheduler's
+// yield path.
+func (tc *TC) Yield() {
+	tc.call(request{kind: reqYield})
+}
+
 func TestMsgKindStrings(t *testing.T) {
 	cases := map[MsgKind]string{
 		WMNull: "WM_NULL", WMKeyDown: "WM_KEYDOWN", WMChar: "WM_CHAR",
@@ -61,8 +68,8 @@ func TestThreadAccessors(t *testing.T) {
 	th := k.Spawn("acc", ProcID(7), 9, func(tc *TC) {
 		tc.GetMessage()
 	})
-	if th.ID() != 1 || th.Name() != "acc" || th.Proc() != 7 || th.Priority() != 9 {
-		t.Fatalf("accessors wrong: %d %q %d %d", th.ID(), th.Name(), th.Proc(), th.Priority())
+	if th.ID() != 1 || th.Name() != "acc" || th.proc != 7 || th.Priority() != 9 {
+		t.Fatalf("accessors wrong: %d %q %d %d", th.ID(), th.Name(), th.proc, th.Priority())
 	}
 	k.Run(simtime.Time(simtime.Millisecond))
 	if th.State() != StateBlockedMsg {
@@ -128,9 +135,9 @@ func TestTCPostAndHasMessage(t *testing.T) {
 	k.Spawn("tx", 2, 8, func(tc *TC) {
 		hadBefore = tc.HasMessage()
 		tc.Compute(burn("w", 2))
-		tc.Post(receiver, WMCommand, 77)
+		tc.Forward(receiver, Msg{Kind: WMCommand, Param: 77})
 		// Posting to self makes HasMessage true without consuming.
-		tc.Post(tc.Thread(), WMNull, 0)
+		tc.Forward(tc.Thread(), Msg{Kind: WMNull})
 		hadAfter = tc.HasMessage()
 	})
 	k.Run(simtime.Time(simtime.Second))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
-	"latlab/internal/disk"
 	"latlab/internal/machine"
 	"latlab/internal/mem"
 )
@@ -14,17 +13,15 @@ import (
 // used before profiles existed.
 func TestPentium100DerivationIdentities(t *testing.T) {
 	p100 := machine.Pentium100()
-	if got, want := cpu.PenaltiesFor(p100), cpu.DefaultPenalties(); got != want {
-		t.Fatalf("PenaltiesFor(p100) = %+v, want %+v", got, want)
+	penalties := cpu.Penalties{TLBMiss: 25, CacheMiss: 20, SegmentLoad: 12, Unaligned: 3, DomainCrossing: 500}
+	if got := cpu.PenaltiesFor(p100); got != penalties {
+		t.Fatalf("PenaltiesFor(p100) = %+v, want %+v", got, penalties)
 	}
-	if got, want := mem.ConfigFor(p100), mem.DefaultConfig(); got != want {
+	if got, want := mem.ConfigFor(p100), (mem.Config{ITLBEntries: 32, DTLBEntries: 64, CacheLines: 8192}); got != want {
 		t.Fatalf("ConfigFor(p100) = %+v, want %+v", got, want)
 	}
-	if got, want := disk.ParamsFor(p100), disk.DefaultParams(); got != want {
-		t.Fatalf("ParamsFor(p100) = %+v, want %+v", got, want)
-	}
 	c := cpu.NewFor(p100)
-	if c.Freq != 100_000_000 || c.Penalties != cpu.DefaultPenalties() {
+	if c.Freq != 100_000_000 || c.Penalties != penalties {
 		t.Fatalf("NewFor(p100) not equivalent to the pre-profile CPU")
 	}
 }

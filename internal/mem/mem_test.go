@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"latlab/internal/machine"
 	"testing"
 	"testing/quick"
 )
@@ -116,7 +117,7 @@ func TestLRUWorkingSetLargerThanCapacityAlwaysMisses(t *testing.T) {
 }
 
 func TestSystem(t *testing.T) {
-	s := NewSystem(DefaultConfig())
+	s := NewSystem(ConfigFor(machine.Pentium100()))
 	if s.ITLB.Cap() != 32 || s.DTLB.Cap() != 64 || s.Cache.Cap() != 8192 {
 		t.Fatalf("default capacities wrong")
 	}
@@ -173,7 +174,7 @@ func BenchmarkLRUFlush(b *testing.B) {
 }
 
 func TestTaggedTLBSurvivesFlush(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := ConfigFor(machine.Pentium100())
 	cfg.TaggedTLB = true
 	s := NewSystem(cfg)
 	if !s.Tagged() {
@@ -193,7 +194,7 @@ func TestTaggedTLBSurvivesFlush(t *testing.T) {
 }
 
 func TestNoL2EveryCacheReferenceMisses(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := ConfigFor(machine.Pentium100())
 	cfg.CacheLines = 0
 	s := NewSystem(cfg)
 	if s.Cache != nil {

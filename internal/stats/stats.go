@@ -63,42 +63,6 @@ func (s Summary) RelStdDev() float64 {
 	return s.StdDev / math.Abs(s.Mean)
 }
 
-// SummarizeDurations converts durations to milliseconds and summarizes.
-func SummarizeDurations(ds []simtime.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Milliseconds()
-	}
-	return Summarize(xs)
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest ranks. It panics on empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty set")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Histogram bins sample values. Bins are left-closed, right-open:
 // [lo+i*width, lo+(i+1)*width). Values outside [lo, hi) land in the
 // Under/Over counters so no sample is silently dropped.
@@ -138,11 +102,6 @@ func (h *Histogram) Add(x float64) {
 
 // Total returns the number of samples recorded, including out-of-range ones.
 func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
 
 // MaxCount returns the largest bin count (useful for scaling plots).
 func (h *Histogram) MaxCount() int {

@@ -47,9 +47,6 @@ func NewBatch(n int) *Batch {
 	}
 }
 
-// Size returns the slot count.
-func (b *Batch) Size() int { return len(b.sessions) }
-
 // Arena returns a stable pointer to the slot's sample arena. Callers
 // hand it to the session's booter (experiments.Config.IdleArena),
 // which grows it on first use and records into it; the grown backing

@@ -123,21 +123,6 @@ func New(cfg Config) *System {
 	return s
 }
 
-// Boot builds and starts a machine for persona p on the paper's
-// hardware (machine.Pentium100).
-//
-// Deprecated: use New(Config{Persona: p}).
-func Boot(p persona.P) *System {
-	return New(Config{Persona: p})
-}
-
-// BootOn builds and starts persona p on hardware profile prof.
-//
-// Deprecated: use New(Config{Persona: p, Machine: prof}).
-func BootOn(p persona.P, prof machine.Profile) *System {
-	return New(Config{Persona: p, Machine: prof})
-}
-
 // mouseRouter reproduces the Windows 95 behaviour the paper found: "the
 // system busy-waits between 'mouse down' and 'mouse up' events", so the
 // measured latency of a click is the duration of the user's press.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBootSpawnsBackground(t *testing.T) {
-	s := Boot(persona.W95())
+	s := New(Config{Persona: persona.W95()})
 	defer s.Shutdown()
 	// Run 500 ms idle; the W95 housekeeping threads must generate busy
 	// time even with no application.
@@ -20,7 +20,7 @@ func TestBootSpawnsBackground(t *testing.T) {
 		t.Fatalf("W95 idle-time background busy = %v, want > 1ms", got)
 	}
 
-	nt := Boot(persona.NT40())
+	nt := New(Config{Persona: persona.NT40()})
 	defer nt.Shutdown()
 	nt.K.Run(simtime.Time(500 * simtime.Millisecond))
 	// NT idles except for clock interrupts: 50 ticks × ~4 µs ≈ 0.2 ms.
@@ -30,7 +30,7 @@ func TestBootSpawnsBackground(t *testing.T) {
 }
 
 func TestKeyboardInjection(t *testing.T) {
-	s := Boot(persona.NT40())
+	s := New(Config{Persona: persona.NT40()})
 	defer s.Shutdown()
 	var got []kernel.Msg
 	s.SpawnApp("app", func(tc *kernel.TC) {
@@ -54,7 +54,7 @@ func TestKeyboardInjection(t *testing.T) {
 }
 
 func TestMouseClickNTDirect(t *testing.T) {
-	s := Boot(persona.NT40())
+	s := New(Config{Persona: persona.NT40()})
 	defer s.Shutdown()
 	var kinds []kernel.MsgKind
 	s.SpawnApp("app", func(tc *kernel.TC) {
@@ -77,7 +77,7 @@ func TestMouseClickNTDirect(t *testing.T) {
 func TestMouseClickW95BusyWaits(t *testing.T) {
 	// Paper §4/Fig. 6: under Windows 95 the CPU spins from mouse-down to
 	// mouse-up, so measured busy time ≈ press duration.
-	s := Boot(persona.W95())
+	s := New(Config{Persona: persona.W95()})
 	defer s.Shutdown()
 	var kinds []kernel.MsgKind
 	s.SpawnApp("app", func(tc *kernel.TC) {
@@ -98,7 +98,7 @@ func TestMouseClickW95BusyWaits(t *testing.T) {
 }
 
 func TestInjectWithoutFocusPanics(t *testing.T) {
-	s := Boot(persona.NT40())
+	s := New(Config{Persona: persona.NT40()})
 	defer s.Shutdown()
 	defer func() {
 		if recover() == nil {
@@ -109,7 +109,7 @@ func TestInjectWithoutFocusPanics(t *testing.T) {
 }
 
 func TestNewProcUnique(t *testing.T) {
-	s := Boot(persona.NT40())
+	s := New(Config{Persona: persona.NT40()})
 	defer s.Shutdown()
 	a, b := s.NewProc(), s.NewProc()
 	if a == b || a == kernel.KernelProc {
@@ -118,7 +118,7 @@ func TestNewProcUnique(t *testing.T) {
 }
 
 func TestFocusSwitching(t *testing.T) {
-	s := Boot(persona.NT40())
+	s := New(Config{Persona: persona.NT40()})
 	defer s.Shutdown()
 	var gotA, gotB int
 	a := s.SpawnApp("a", func(tc *kernel.TC) {
@@ -157,7 +157,7 @@ func TestFocusSwitching(t *testing.T) {
 func TestW95MouseClickWithQueueSync(t *testing.T) {
 	// The Test driver posts WM_QUEUESYNC after the mouse-down; the router
 	// must forward it mid-busy-wait without ending the wait.
-	s := Boot(persona.W95())
+	s := New(Config{Persona: persona.W95()})
 	defer s.Shutdown()
 	var kinds []kernel.MsgKind
 	s.SpawnApp("app", func(tc *kernel.TC) {
@@ -183,7 +183,7 @@ func TestW95MouseClickWithQueueSync(t *testing.T) {
 }
 
 func TestW95KeyboardBypassesRouter(t *testing.T) {
-	s := Boot(persona.W95())
+	s := New(Config{Persona: persona.W95()})
 	defer s.Shutdown()
 	var got kernel.Msg
 	s.SpawnApp("app", func(tc *kernel.TC) { got = tc.GetMessage() })
@@ -205,7 +205,7 @@ func TestBootMatrixEveryPersonaOnEveryMachine(t *testing.T) {
 	for _, p := range persona.All() {
 		for _, m := range machine.All() {
 			t.Run(p.Short+"/"+m.Short, func(t *testing.T) {
-				s := BootOn(p, m)
+				s := New(Config{Persona: p, Machine: m})
 				defer s.Shutdown()
 				if s.M.Short != m.Short {
 					t.Fatalf("booted machine = %q, want %q", s.M.Short, m.Short)
@@ -240,7 +240,7 @@ func TestModernProfilesOffloadBackgroundWork(t *testing.T) {
 	for _, p := range persona.All() {
 		t.Run(p.Short, func(t *testing.T) {
 			run := func(m machine.Profile) (core0, aux simtime.Duration) {
-				s := BootOn(p, m)
+				s := New(Config{Persona: p, Machine: m})
 				defer s.Shutdown()
 				s.SpawnApp("echo", func(tc *kernel.TC) {
 					for {
@@ -277,7 +277,7 @@ func TestModernProfilesOffloadBackgroundWork(t *testing.T) {
 // bottom level across an idle stretch — observable end to end through a
 // booted system, not just the pure Next function.
 func TestDVFSGovernorRampsAndDecays(t *testing.T) {
-	s := BootOn(persona.NT40(), machine.Modern2026())
+	s := New(Config{Persona: persona.NT40(), Machine: machine.Modern2026()})
 	defer s.Shutdown()
 	spec := machine.Modern2026().DVFS
 	if got := s.K.CPU().Clock(); got != spec.Level(0) {
@@ -291,29 +291,21 @@ func TestDVFSGovernorRampsAndDecays(t *testing.T) {
 		tc.GetMessage() // park forever
 	})
 	s.K.Run(simtime.Time(250 * simtime.Millisecond))
-	if lvl := s.K.DVFSLevel(); lvl != spec.NumLevels()-1 {
-		t.Fatalf("sustained load reached level %d, want top %d", lvl, spec.NumLevels()-1)
+	if got, top := s.K.CPU().Clock(), spec.Level(spec.NumLevels()-1); got != top {
+		t.Fatalf("sustained load reached clock %v, want top level %v", got, top)
 	}
 	s.K.Run(simtime.Time(2 * simtime.Second))
-	if lvl := s.K.DVFSLevel(); lvl != 0 {
-		t.Fatalf("idle stretch decayed to level %d, want 0", lvl)
-	}
 	if got := s.K.CPU().Clock(); got != spec.Level(0) {
 		t.Fatalf("idle clock = %v, want %v", got, spec.Level(0))
 	}
 }
 
-// BootOn with the zero profile must behave exactly like Boot: the
-// compatibility default for configs that never mention hardware.
+// New with the zero profile boots the paper's Pentium 100: the default
+// for configs that never mention hardware.
 func TestBootOnZeroProfileIsPentium100(t *testing.T) {
-	s := BootOn(persona.NT40(), machine.Profile{})
+	s := New(Config{Persona: persona.NT40(), Machine: machine.Profile{}})
 	defer s.Shutdown()
 	if s.M.Short != "p100" {
 		t.Fatalf("zero profile booted %q, want p100", s.M.Short)
-	}
-	legacy := Boot(persona.NT40())
-	defer legacy.Shutdown()
-	if legacy.M.Short != "p100" {
-		t.Fatalf("Boot() machine = %q, want p100", legacy.M.Short)
 	}
 }

@@ -10,6 +10,12 @@ import (
 
 // opDuration runs a single op on a quiet NT 4.0 rig and returns its
 // duration after one warm-up.
+// MenuCommand processes a menu/command dispatch — an operation no
+// modeled application issues; the tests use it as a mid-weight call.
+func (w *WinSys) MenuCommand(tc *kernel.TC) {
+	w.call(tc, op{name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6})
+}
+
 func opDuration(t *testing.T, p persona.P, fn func(tc *kernel.TC, w *WinSys)) simtime.Duration {
 	t.Helper()
 	d, _ := measure(t, p, 1, fn)

@@ -51,9 +51,6 @@ func New(k *kernel.Kernel, p persona.P) *WinSys {
 // Persona returns the persona this window system models.
 func (w *WinSys) Persona() persona.P { return w.p }
 
-// Calls returns the number of Win32 calls made so far.
-func (w *WinSys) Calls() int64 { return w.calls }
-
 // BatchedCalls returns how many calls were cost-reduced by request
 // batching (input queued behind the event being handled).
 func (w *WinSys) BatchedCalls() int64 { return w.batched }
@@ -240,11 +237,6 @@ func (w *WinSys) OLESetup(tc *kernel.TC, calls int) {
 	for i := 0; i < n; i++ {
 		w.call(tc, op{name: "olesetup", cycles: 30_000, hot: 10, stream: 40, chunks: 12})
 	}
-}
-
-// MenuCommand processes a menu/command dispatch.
-func (w *WinSys) MenuCommand(tc *kernel.TC) {
-	w.call(tc, op{name: "menucommand", cycles: 60_000, hot: 6, stream: 2, chunks: 6})
 }
 
 // CreateWindow sets up a new top-level window.

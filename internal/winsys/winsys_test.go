@@ -168,8 +168,8 @@ func TestCallsCounter(t *testing.T) {
 		w.MenuCommand(tc)
 	})
 	k.Run(simtime.Time(simtime.Second))
-	if w.Calls() != 4 {
-		t.Fatalf("Calls = %d, want 4", w.Calls())
+	if w.calls != 4 {
+		t.Fatalf("calls = %d, want 4", w.calls)
 	}
 	if w.Persona().Short != "nt40" {
 		t.Fatalf("persona accessor wrong")
