@@ -11,7 +11,7 @@ GO ?= go
 # load regimes ±25% — tighten it (BENCH_NS_TOL=0.10) on quiet
 # dedicated hardware. allocs/op is deterministic, so its floor stays
 # tight; it is the reliable regression tripwire everywhere.
-BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkCalendarSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
+BENCH_GATE_PAT  = ^(BenchmarkSimulatorThroughput|BenchmarkBatchThroughput|BenchmarkExtraction|BenchmarkSchedulePop|BenchmarkLRUTouch|BenchmarkWriteIdleCSV|BenchmarkSketchAdd)$$
 BENCH_GATE_PKGS = . ./internal/eventq ./internal/mem ./internal/trace ./internal/stats
 BENCH_NS_TOL    ?= 0.25
 BENCH_ALLOC_TOL ?= 0.10
@@ -112,7 +112,8 @@ cover:
 # 10 seconds of coverage-guided fuzzing per fuzzer: the idle and
 # attribution CSV parsers, the JSONL ledger and quarantine parsers, the
 # scenario DSL, and the differential event-queue check
-# (calendar vs reference heap on random schedule/cancel programs).
+# (the 4-ary heap vs a linear-scan model on random schedule/cancel
+# programs).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s

@@ -344,9 +344,9 @@ func (s *idleBenchSession) OnTarget() { s.done = true }
 // BenchmarkBatchThroughput reports multi-machine simulator speed on the
 // batched path: per op, eight idle NT 4.0 machines each simulated for
 // 30 seconds (a campaign-session-sized horizon, so per-machine boot
-// cost amortises as it does in a sweep) under the calendar queue with
-// analytic idle-span elision, instrument buffers recording into batch
-// arenas reused across ops. BenchmarkSimulatorThroughput stays the
+// cost amortises as it does in a sweep) under analytic idle-span
+// elision, instrument buffers recording into batch arenas reused
+// across ops. BenchmarkSimulatorThroughput stays the
 // single-machine reference path; machine-sim-s/s is the headline
 // machines/sec throughput and x-vs-reference the in-process speedup
 // over untimed reference-path runs of the same workload on this host.

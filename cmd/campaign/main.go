@@ -106,9 +106,9 @@ func usage(w io.Writer) {
 run expands a campaign spec (personas x machines x scenarios x seeds)
 into cells, executes every seeded session, and appends one sketch
 record per cell to the JSONL ledger. The ledger is byte-identical for
-any -jobs, -engine, and -batch value: the batched engine (calendar
-event queue, analytic idle skipping, -batch machines stepped per
-worker) is a pure throughput knob, never a semantics knob. A failing cell is quarantined (recorded in
+any -jobs, -engine, and -batch value: the batched engine (analytic
+idle skipping, -batch machines stepped per worker) is a pure
+throughput knob, never a semantics knob. A failing cell is quarantined (recorded in
 <ledger>.quarantine.jsonl) while the rest of the campaign completes;
 SIGINT/SIGTERM drains in-flight cells, fsyncs the ledger, and leaves a
 resumable prefix.
@@ -164,7 +164,7 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		quick      = fs.Bool("quick", false, "trim workload sizes (for smoke runs)")
 		jobs       = fs.Int("jobs", runtime.NumCPU(), "run up to N cells concurrently")
 		timeout    = fs.Duration("timeout", 0, "per-cell timeout, retries included (0 = none)")
-		engine     = fs.String("engine", "batched", "simulation engine: batched or reference (byte-identical ledgers)")
+		engine     = fs.String("engine", "batched", "simulation engine: batched (adds analytic idle skipping) or reference (byte-identical ledgers)")
 		batch      = fs.Int("batch", 8, "machines stepped per worker as one batch (1 = one machine at a time)")
 	)
 	budget, backoff := new(int), new(time.Duration)

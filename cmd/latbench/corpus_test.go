@@ -68,9 +68,9 @@ func TestCorpusGolden(t *testing.T) {
 
 // TestCorpusGoldenBatched replays the same corpus with -engine batched
 // and requires every rendering to match the reference goldens byte for
-// byte — the CLI-level proof that the calendar queue and analytic
-// idle-span elision change nothing observable. `make batch-check` runs
-// this; it never rewrites goldens (those belong to TestCorpusGolden).
+// byte — the CLI-level proof that analytic idle-span elision changes
+// nothing observable. It never rewrites goldens (those belong to
+// TestCorpusGolden).
 func TestCorpusGoldenBatched(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
 	if err != nil {

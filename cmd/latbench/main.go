@@ -24,10 +24,11 @@
 // conflicts with an explicit -machine: latbench refuses unless -force
 // is given, in which case the scenario wins.
 //
-// -engine batched runs every experiment on the batched simulation core
-// (calendar event queue plus analytic idle-span skipping). Outputs are
-// byte-identical to the default reference engine; `make batch-check`
-// enforces that on the golden scenario corpus.
+// -engine batched runs every experiment on the batched simulation core,
+// which adds analytic idle-span skipping to the reference engine's event
+// queue and nothing else. Outputs are byte-identical to the default
+// reference engine; TestCorpusGoldenBatched enforces that on the golden
+// scenario corpus.
 //
 // -trace records latency-attribution spans on every simulated machine
 // and writes them as Chrome trace-event JSON (load the file in Perfetto
@@ -82,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenPath  = fs.String("scenario", "", "compile and run the scenario document at this path")
 		corpusDir = fs.String("corpus", "testdata/scenarios", "scenario corpus directory replayed by -run corpus")
 		force     = fs.Bool("force", false, "let a scenario's pinned machine silently override an explicit -machine")
-		engineArg = fs.String("engine", "reference", "simulation engine: reference or batched (byte-identical outputs)")
+		engineArg = fs.String("engine", "reference", "simulation engine: reference, or batched (adds analytic idle skipping; byte-identical outputs)")
 	)
 	fs.Usage = func() { groupedUsage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {

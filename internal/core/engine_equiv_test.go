@@ -41,8 +41,8 @@ func engineScenario(t *testing.T, eng kernel.Engine) (*kernel.Kernel, []trace.Id
 }
 
 // TestEngineEquivalence is the end-to-end exactness proof at the kernel
-// level: the batched engine (calendar queue + idle skipping) must leave
-// the machine in a state indistinguishable from the reference engine —
+// level: the batched engine (idle skipping) must leave the machine in a
+// state indistinguishable from the reference engine —
 // identical idle-sample traces, hardware counters, tick counts, and
 // busy-time accounting — while actually having elided work.
 func TestEngineEquivalence(t *testing.T) {

@@ -42,9 +42,6 @@ func (h Handle) At() simtime.Time { return h.at }
 func (h Handle) Cancel() {
 	if h.q != nil && h.q.tickets[h.slot].gen == h.gen {
 		h.q.tickets[h.slot].cancelled = true
-		if h.q.cal != nil {
-			h.q.cal.memoOK = false
-		}
 	}
 }
 
@@ -70,18 +67,16 @@ type ticket struct {
 	cancelled bool
 }
 
-// Queue is a deterministic priority queue of events. The zero value is an
-// empty queue ready for use (4-ary heap backend); UseCalendar switches an
-// empty queue to the calendar-queue backend, which yields the identical
-// pop order — entries are totally ordered by (at, seq) and seq is unique,
-// so the order is backend-independent. Queue is not safe for concurrent
+// Queue is a deterministic priority queue of events, a pre-grown 4-ary
+// heap. The zero value is an empty queue ready for use. Entries are
+// totally ordered by (at, seq) and seq is unique, so the pop order is
+// independent of the heap's layout. Queue is not safe for concurrent
 // use; the simulator is single-threaded by construction.
 type Queue struct {
 	h       []entry
 	seq     uint64
 	tickets []ticket
 	free    []int32
-	cal     *calendar // non-nil selects the calendar backend
 }
 
 // Grow pre-sizes the queue's internal storage for at least n concurrently
@@ -117,31 +112,24 @@ func (q *Queue) Schedule(at simtime.Time, fn func(now simtime.Time)) Handle {
 	}
 	e := entry{at: at, seq: q.seq, slot: slot, fn: fn}
 	q.seq++
-	if q.cal != nil {
-		q.cal.schedule(e)
-	} else {
-		q.h = append(q.h, e)
-		q.siftUp(len(q.h) - 1)
-	}
+	q.h = append(q.h, e)
+	q.siftUp(len(q.h) - 1)
 	return Handle{q: q, at: at, slot: slot, gen: q.tickets[slot].gen}
 }
 
+// SkipSeq advances the internal sequence counter by n without
+// scheduling anything, replicating the seq numbering of n elided
+// Schedule calls — the bulk idle-skip fast path uses it so elided and
+// simulated runs assign identical (at, seq) keys to every later event.
+func (q *Queue) SkipSeq(n uint64) { q.seq += n }
+
 // Len returns the number of events still enqueued, including cancelled
 // events that have not yet been skipped.
-func (q *Queue) Len() int {
-	if q.cal != nil {
-		return q.cal.count
-	}
-	return len(q.h)
-}
+func (q *Queue) Len() int { return len(q.h) }
 
 // Empty reports whether no live events remain. It discards any cancelled
 // events at the head of the queue.
 func (q *Queue) Empty() bool {
-	if q.cal != nil {
-		_, _, ok := q.cal.minLocate(q)
-		return !ok
-	}
 	q.skipCancelled()
 	return len(q.h) == 0
 }
@@ -149,16 +137,6 @@ func (q *Queue) Empty() bool {
 // NextTime returns the firing time of the earliest live event, or
 // simtime.Never when the queue is empty.
 func (q *Queue) NextTime() simtime.Time {
-	if c := q.cal; c != nil {
-		if c.memoOK { // skip the scan when the cached minimum is live
-			return c.buckets[c.memoP][c.memoI].at
-		}
-		p, i, ok := c.minLocate(q)
-		if !ok {
-			return simtime.Never
-		}
-		return c.buckets[p][i].at
-	}
 	q.skipCancelled()
 	if len(q.h) == 0 {
 		return simtime.Never
@@ -169,16 +147,6 @@ func (q *Queue) NextTime() simtime.Time {
 // Pop removes and returns the earliest live event; ok is false when the
 // queue is empty.
 func (q *Queue) Pop() (e Event, ok bool) {
-	if c := q.cal; c != nil {
-		p, i, ok := c.memoP, c.memoI, c.memoOK
-		if !ok {
-			if p, i, ok = c.minLocate(q); !ok {
-				return Event{}, false
-			}
-		}
-		head := c.removeAt(q, p, i)
-		return Event{at: head.at, fn: head.fn}, true
-	}
 	q.skipCancelled()
 	if len(q.h) == 0 {
 		return Event{}, false

@@ -282,6 +282,206 @@ func TestCancelSubsetProperty(t *testing.T) {
 	}
 }
 
+// model is the reference the heap is checked against: a plain slice of
+// scheduled events and a linear scan for the (at, seq) minimum. It is
+// slow and obviously correct, which is all an oracle needs to be.
+type model struct {
+	entries []modelEntry
+	seq     uint64
+}
+
+type modelEntry struct {
+	at        simtime.Time
+	seq       uint64
+	id        int
+	cancelled bool
+}
+
+// schedule enqueues event id at instant at and returns its seq, which
+// serves as the model's cancellation handle.
+func (m *model) schedule(at simtime.Time, id int) uint64 {
+	m.entries = append(m.entries, modelEntry{at: at, seq: m.seq, id: id})
+	m.seq++
+	return m.seq - 1
+}
+
+// cancel marks the pending event seq cancelled and reports whether it
+// was still pending, which is what Handle.Cancelled reports afterwards.
+func (m *model) cancel(seq uint64) bool {
+	for i := range m.entries {
+		if m.entries[i].seq == seq {
+			m.entries[i].cancelled = true
+			return true
+		}
+	}
+	return false
+}
+
+// min returns the index of the earliest live entry, or -1.
+func (m *model) min() int {
+	best := -1
+	for i, e := range m.entries {
+		if e.cancelled {
+			continue
+		}
+		if best < 0 || e.at < m.entries[best].at || (e.at == m.entries[best].at && e.seq < m.entries[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (m *model) nextTime() simtime.Time {
+	if i := m.min(); i >= 0 {
+		return m.entries[i].at
+	}
+	return simtime.Never
+}
+
+// pop removes and returns the earliest live entry.
+func (m *model) pop() (modelEntry, bool) {
+	i := m.min()
+	if i < 0 {
+		return modelEntry{}, false
+	}
+	e := m.entries[i]
+	m.entries = append(m.entries[:i], m.entries[i+1:]...)
+	return e, true
+}
+
+// FuzzQueueEquivalence drives the heap and the linear-scan model with
+// one op stream — schedule (with fuzzer-chosen deltas, including ties
+// and long jumps), cancel, pop — and requires identical NextTime after
+// every op, identical Cancelled() after every cancel, and an identical
+// pop sequence, both instants and callback identities.
+func FuzzQueueEquivalence(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 20, 2, 2})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2})
+	f.Add([]byte{0, 255, 0, 255, 0, 255, 2, 0, 1, 2, 2, 2})
+	f.Add([]byte{0, 200, 3, 0, 5, 1, 0, 2, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var q Queue
+		var m model
+		var got, want []int
+		type pair struct {
+			h   Handle
+			seq uint64
+		}
+		var live []pair
+		id := 0
+		at := simtime.Time(0)
+		pop := func() bool {
+			e, ok := q.Pop()
+			me, mok := m.pop()
+			if ok != mok {
+				t.Fatalf("Pop ok diverged: heap %v model %v", ok, mok)
+			}
+			if !ok {
+				return false
+			}
+			if e.At() != me.at {
+				t.Fatalf("Pop at diverged: heap %v model %v", e.At(), me.at)
+			}
+			e.Fire(e.At())
+			want = append(want, me.id)
+			at = e.At() // advance the schedule base like a simulator clock
+			return true
+		}
+		for i := 0; i < len(data); i++ {
+			switch data[i] % 4 {
+			case 0: // schedule at `at + delta`: small deltas tie, some jump far ahead
+				i++
+				if i >= len(data) {
+					break
+				}
+				d := simtime.Duration(data[i])
+				if data[i]%3 == 2 {
+					d *= simtime.Millisecond
+				}
+				when := at.Add(d)
+				n := id
+				id++
+				h := q.Schedule(when, func(simtime.Time) { got = append(got, n) })
+				live = append(live, pair{h, m.schedule(when, n)})
+			case 1: // cancel a fuzzer-chosen outstanding handle
+				i++
+				if i >= len(data) || len(live) == 0 {
+					break
+				}
+				j := int(data[i]) % len(live)
+				live[j].h.Cancel()
+				if hc, mc := live[j].h.Cancelled(), m.cancel(live[j].seq); hc != mc {
+					t.Fatalf("Cancelled() diverged: heap %v model %v", hc, mc)
+				}
+				live = append(live[:j], live[j+1:]...)
+			case 2: // pop
+				pop()
+			case 3: // pop burst
+				for j := 0; j < 4 && pop(); j++ {
+				}
+			}
+			if hn, mn := q.NextTime(), m.nextTime(); hn != mn {
+				t.Fatalf("NextTime diverged: heap %v model %v", hn, mn)
+			}
+		}
+		for pop() { // drain
+		}
+		if len(got) != len(want) {
+			t.Fatalf("fired %d events on heap, %d on model", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("fired order diverged at %d: heap %v model %v", i, got, want)
+			}
+		}
+	})
+}
+
+// TestQueueEquivalenceRandom is the always-on cousin of
+// FuzzQueueEquivalence: long random op streams, with deltas spread over
+// 24 binary orders of magnitude, on every `go test` run.
+func TestQueueEquivalenceRandom(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 4096)
+		r.Read(ops)
+		var q Queue
+		var m model
+		at := simtime.Time(0)
+		var live []Handle
+		var liveSeq []uint64
+		for i := 0; i < len(ops)-1; i += 2 {
+			switch ops[i] % 3 {
+			case 0:
+				d := simtime.Duration(ops[i+1]) * simtime.Duration(1<<uint(ops[i+1]%24))
+				when := at.Add(d)
+				live = append(live, q.Schedule(when, func(simtime.Time) {}))
+				liveSeq = append(liveSeq, m.schedule(when, 0))
+			case 1:
+				if len(live) > 0 {
+					j := int(ops[i+1]) % len(live)
+					live[j].Cancel()
+					m.cancel(liveSeq[j])
+					live = append(live[:j], live[j+1:]...)
+					liveSeq = append(liveSeq[:j], liveSeq[j+1:]...)
+				}
+			case 2:
+				e, ok := q.Pop()
+				me, mok := m.pop()
+				if ok != mok || (ok && e.At() != me.at) {
+					t.Fatalf("seed %d: pop diverged", seed)
+				}
+				if ok {
+					at = e.At()
+				}
+			}
+			if q.NextTime() != m.nextTime() {
+				t.Fatalf("seed %d: NextTime diverged", seed)
+			}
+		}
+	}
+}
+
 // BenchmarkSchedulePop is the raw queue hot path: one push and one pop
 // per iteration against a warm queue.
 func BenchmarkSchedulePop(b *testing.B) {

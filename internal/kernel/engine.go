@@ -5,31 +5,14 @@ import (
 	"latlab/internal/simtime"
 )
 
-// QueueKind selects the event-queue backend a kernel runs on. Both
-// backends pop the identical (time, sequence) total order — the
-// differential fuzzer in internal/eventq proves it — so the choice is
-// purely a throughput knob, never a semantics knob.
-type QueueKind uint8
-
-// Queue backends.
-const (
-	// QueueHeap is the pre-grown 4-ary heap — the reference backend.
-	QueueHeap QueueKind = iota
-	// QueueCalendar is the calendar/bucket queue tuned for the
-	// dense-timer regime (events spread over hundreds of µs to tens of
-	// ms, small in-flight counts).
-	QueueCalendar
-)
-
 // Engine selects the simulation-core strategy. The zero value is the
-// reference engine — 4-ary heap, every idle cycle simulated — whose
-// behaviour every golden in the repository pins. BatchedEngine enables
-// the throughput path; both engines produce byte-identical traces,
-// which `make batch-check` re-proves against the full golden corpus
-// and the committed campaign ledger.
+// reference engine — every idle cycle simulated — whose behaviour every
+// golden in the repository pins. BatchedEngine enables the throughput
+// path; both engines run on the one event queue (internal/eventq's 4-ary
+// heap) and produce byte-identical traces, which TestCorpusGoldenBatched
+// re-proves against the golden corpus and `make batch-check` against
+// the committed campaign ledger.
 type Engine struct {
-	// Queue picks the event-queue backend.
-	Queue QueueKind
 	// IdleSkip enables analytic idle-span elision: when the machine is
 	// provably idle (ProvablyIdle) and the idle instrument's last cycle
 	// was clean — zero TLB/cache misses and exactly its analytic
@@ -42,9 +25,10 @@ type Engine struct {
 }
 
 // BatchedEngine returns the throughput engine used by batched
-// multi-machine runs: calendar queue plus analytic idle skipping.
+// multi-machine runs: analytic idle skipping. It differs from the
+// reference engine in nothing else.
 func BatchedEngine() Engine {
-	return Engine{Queue: QueueCalendar, IdleSkip: true}
+	return Engine{IdleSkip: true}
 }
 
 // BulkLoop is implemented by an idle-class instrument whose compute

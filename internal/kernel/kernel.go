@@ -214,9 +214,6 @@ func New(cfg Config) *Kernel {
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
 	k.idleSkip = cfg.Engine.IdleSkip
-	if cfg.Engine.Queue == QueueCalendar {
-		k.q.UseCalendar()
-	}
 	k.q.Grow(256)
 	k.onCompletionFn = k.onCompletion
 	k.reconcileFn = func(now simtime.Time) { k.reconcile() }

@@ -691,3 +691,17 @@ func TestIRQCoalescingBatchesDiskCompletions(t *testing.T) {
 		t.Fatalf("coalescing took %d interrupts, per-request twin %d — no batching happened", coalesced, perIRQ)
 	}
 }
+
+// TestBootAllocsEngineIndependent pins that the two engines differ only
+// in idle elision: both run on the one event queue, so booting a kernel
+// costs the same allocations under either.
+func TestBootAllocsEngineIndependent(t *testing.T) {
+	boot := func(e Engine) float64 {
+		cfg := DefaultConfig()
+		cfg.Engine = e
+		return testing.AllocsPerRun(20, func() { New(cfg).Shutdown() })
+	}
+	if ref, bat := boot(Engine{}), boot(BatchedEngine()); ref != bat {
+		t.Fatalf("boot allocates %.0f times on the reference engine, %.0f on the batched one", ref, bat)
+	}
+}
