@@ -272,7 +272,7 @@ func pagesEqual(a, b []uint64) bool {
 
 // LoopTC is the restricted thread context handed to kernel-resident
 // loop threads (SpawnLoop). Unlike TC it runs in simulator context —
-// no goroutine, no channel handshake — so a loop thread may record
+// no coroutine, nothing to yield to — so a loop thread may record
 // exactly one request per invocation and must not block: only the
 // reply-free primitives are available.
 type LoopTC struct {
@@ -310,7 +310,9 @@ func (lc *LoopTC) Compute(seg cpu.Segment) {
 	r.seg = seg
 }
 
-// Compute2 consumes CPU for two segments back to back, like TC.Compute2.
+// Compute2 consumes CPU for two segments back to back in one request:
+// timing and memory-system effects are identical to two Compute calls,
+// the second segment costed the instant the first finishes.
 func (lc *LoopTC) Compute2(a, b cpu.Segment) {
 	r := lc.arm()
 	r.kind = reqCompute2
@@ -329,8 +331,8 @@ func (lc *LoopTC) Sleep(d simtime.Duration) {
 // simulator context each time the scheduler wants the thread's next
 // request, records exactly one primitive on the LoopTC, and returns
 // false to exit. The request stream — and therefore the simulation —
-// is identical to a goroutine thread issuing the same primitives, but
-// without any channel handshake, which is what makes stepping thousands
+// is identical to a Spawned thread issuing the same primitives, but
+// without any coroutine switch, which is what makes stepping thousands
 // of machines per worker affordable. Periodic housekeeping threads
 // (idle-loop instrument, persona background tasks) use this form.
 func (k *Kernel) SpawnLoop(name string, proc ProcID, prio int, fn func(lc *LoopTC) bool) *Thread {

@@ -4,9 +4,11 @@
 // whatever is running, per-thread message queues behind GetMessage/
 // PeekMessage, and synchronous file I/O through the buffer cache.
 //
-// Threads are goroutines coupled to the simulator by a strict handshake
-// (see thread.go): exactly one of {simulator, one thread} executes at any
-// moment, so runs are deterministic and data-race-free by construction.
+// Threads are coroutines driven by the simulator (see thread.go): a
+// thread runs only between the kernel fetching its next request and the
+// thread yielding it, so exactly one of {simulator, one thread} executes
+// at any moment and runs are deterministic and data-race-free by
+// construction.
 //
 // One modelling approximation is worth stating up front: a Compute
 // request is costed against the memory system when it starts, even
@@ -210,6 +212,11 @@ type Kernel struct {
 // Pentium when unset); explicit cfg overrides — penalty fields,
 // CPUFrequency, DiskParams — win over the profile derivation.
 func New(cfg Config) *Kernel {
+	if cfg.ClockTick <= 0 {
+		// The recurring clock re-arms at now+ClockTick: a zero tick
+		// would spin forever at one instant.
+		panic("kernel: ClockTick must be positive")
+	}
 	prof := cfg.Machine.OrDefault()
 	cfg.Machine = prof
 	k := &Kernel{cfg: cfg}
@@ -357,46 +364,6 @@ func (k *Kernel) NextTick(t simtime.Time) simtime.Time {
 	return simtime.Time(n * tick)
 }
 
-// Spawn creates a thread in process proc at the given priority and makes
-// it runnable. The body runs on its own goroutine under the simulator's
-// handshake.
-func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *Thread {
-	if prio < IdlePriority {
-		panic("kernel: priority below idle class")
-	}
-	t := &Thread{
-		id:       len(k.threads) + 1,
-		name:     name,
-		proc:     proc,
-		prio:     prio,
-		k:        k,
-		body:     body,
-		resume:   make(chan resumeToken),
-		requests: make(chan request),
-		state:    StateNew,
-	}
-	k.threads = append(k.threads, t)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		tok := <-t.resume
-		if tok.kill {
-			return
-		}
-		t.body(&TC{t: t, k: k})
-		t.requests <- request{kind: reqExit}
-	}()
-	k.makeReady(t)
-	k.reconcile()
-	return t
-}
-
 // Run processes events until the queue empties or simulated time would
 // pass `until`. It returns the time at which it stopped.
 func (k *Kernel) Run(until simtime.Time) simtime.Time {
@@ -428,7 +395,7 @@ func (k *Kernel) advance(t simtime.Time) {
 	k.now = t
 }
 
-// Shutdown kills all live threads so their goroutines exit. The kernel
+// Shutdown kills all live threads so their coroutines unwind. The kernel
 // is unusable afterwards.
 func (k *Kernel) Shutdown() {
 	if k.shutdown {
@@ -443,11 +410,11 @@ func (k *Kernel) Shutdown() {
 		if t.state == StateDone {
 			continue
 		}
-		// A live goroutine thread is always parked receiving on resume
-		// (either in its primitive's handshake or the initial wait).
-		// Loop threads have no goroutine to unwind.
-		if t.loopFn == nil {
-			t.resume <- resumeToken{kill: true}
+		// A live coroutine thread is suspended in a primitive's yield or
+		// not started yet; stop unwinds it (a no-op once its body has
+		// panicked). Loop threads have no coroutine to unwind.
+		if t.stop != nil {
+			t.stop()
 		}
 		t.state = StateDone
 	}

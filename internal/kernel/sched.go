@@ -199,12 +199,13 @@ func (k *Kernel) hasReadyAtPrio(p int) bool {
 }
 
 // fetchInto obtains t's next request, writing it into t.reqSlot. For
-// goroutine threads it resumes the goroutine and waits (strict
-// alternation: the kernel blocks here while thread code runs). For
-// kernel-resident loop threads it invokes the loop function directly
-// in simulator context — same request stream, no channel handshake;
-// the LoopTC primitives arm t.reqSlot in place, so the (large,
-// two-segment) request struct is never copied on this hot path.
+// coroutine threads it resumes the body until it yields (strict
+// alternation: the kernel is suspended while thread code runs); a body
+// that returned yields reqExit. For kernel-resident loop threads it
+// invokes the loop function directly in simulator context — same
+// request stream, no coroutine switch; the LoopTC primitives arm
+// t.reqSlot in place, so the (large, two-segment) request struct is
+// never copied on this hot path.
 func (k *Kernel) fetchInto(t *Thread) {
 	if t.loopFn != nil {
 		lc := &t.loopTC
@@ -218,8 +219,11 @@ func (k *Kernel) fetchInto(t *Thread) {
 		}
 		return
 	}
-	t.resume <- resumeToken{}
-	t.reqSlot = <-t.requests
+	r, ok := t.next()
+	if !ok {
+		r = request{kind: reqExit}
+	}
+	t.reqSlot = r
 }
 
 // step advances the current thread's instantaneous state: it fetches the
@@ -263,9 +267,9 @@ func (k *Kernel) process(t *Thread) {
 	case reqCompute2:
 		// Two segments in one request: the second is costed the instant
 		// the first finishes consuming CPU, exactly as two back-to-back
-		// Compute calls would be, but without the thread handshake in
-		// between. The idle-loop instrument uses this so its sampling
-		// costs one handshake per record, not two.
+		// Compute calls would be. Only loop threads issue it (the
+		// idle-loop instrument, one per sample record), and the bulk
+		// idle-skip engine recognises a cycle as one such request.
 		for {
 			if r.started {
 				if r.stage == 1 {

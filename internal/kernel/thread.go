@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package kernel
 
 import (
 	"fmt"
+	"iter"
 
 	"latlab/internal/cpu"
 	"latlab/internal/fscache"
@@ -76,8 +79,8 @@ const (
 	reqExit
 )
 
-// request is one primitive invocation, carried thread→kernel over the
-// handshake channel.
+// request is one primitive invocation, yielded thread→kernel by the
+// thread's coroutine (or armed in place by a loop thread).
 type request struct {
 	kind   reqKind
 	seg    cpu.Segment
@@ -95,33 +98,29 @@ type request struct {
 	stage   uint8
 }
 
-// resumeToken is sent kernel→thread; kill aborts the thread.
-type resumeToken struct {
-	kill bool
-}
-
 // killSentinel is the panic value used to unwind a killed thread.
 type killSentinel struct{}
 
 // Thread is a simulated thread of control. Application code runs in the
-// body function on a dedicated goroutine, but the kernel and at most one
-// thread ever execute at a time (strict channel handshake), so the
-// simulation is deterministic and race-free.
+// body function as a coroutine: it yields one request at a time and is
+// resumed only when the kernel asks for the next, so the kernel and at
+// most one thread ever execute at a time, and the simulation is
+// deterministic and race-free.
 type Thread struct {
 	id   int
 	name string
 	proc ProcID
 	prio int
 
-	k        *Kernel
-	body     func(tc *TC)
-	resume   chan resumeToken
-	requests chan request
+	k *Kernel
+	// next resumes the body's coroutine until its next request (false
+	// once the body has returned); stop unwinds a suspended body.
+	next func() (request, bool)
+	stop func()
 
 	// loopFn, when non-nil, makes this a kernel-resident loop thread
-	// (SpawnLoop): no goroutine, no handshake — fetch invokes loopFn in
-	// simulator context and loopTC carries its one-request-per-call
-	// context.
+	// (SpawnLoop): no coroutine — fetch invokes loopFn in simulator
+	// context and loopTC carries its one-request-per-call context.
 	loopFn func(lc *LoopTC) bool
 	loopTC LoopTC
 
@@ -201,26 +200,59 @@ func (t *Thread) QueueLen() int { return len(t.msgq) }
 // TC is the thread-side handle to kernel services; every method must be
 // called from the thread's own body function.
 type TC struct {
-	t *Thread
-	k *Kernel
+	t     *Thread
+	k     *Kernel
+	yield func(request) bool
+}
+
+// Spawn creates a thread in process proc at the given priority and makes
+// it runnable. The body runs as a coroutine: each primitive yields its
+// request to the kernel and resumes when the kernel fetches the next. A
+// panic in the body surfaces in the kernel call that resumed it (Run,
+// or any call that reschedules, Spawn included).
+func (k *Kernel) Spawn(name string, proc ProcID, prio int, body func(tc *TC)) *Thread {
+	if prio < IdlePriority {
+		panic("kernel: priority below idle class")
+	}
+	t := &Thread{
+		id:    len(k.threads) + 1,
+		name:  name,
+		proc:  proc,
+		prio:  prio,
+		k:     k,
+		state: StateNew,
+	}
+	t.next, t.stop = iter.Pull(func(yield func(request) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(killSentinel); !ok {
+					panic(r)
+				}
+			}
+		}()
+		body(&TC{t: t, k: k, yield: yield})
+	})
+	k.threads = append(k.threads, t)
+	k.makeReady(t)
+	k.reconcile()
+	return t
 }
 
 // Thread returns the thread this context belongs to.
 func (tc *TC) Thread() *Thread { return tc.t }
 
 // Now returns the current simulated time. Reading it needs no yield: the
-// kernel goroutine is parked while thread code runs.
+// kernel is suspended while thread code runs.
 func (tc *TC) Now() simtime.Time { return tc.k.now }
 
 // Cycles reads the free-running cycle counter (a user-mode rdtsc).
 func (tc *TC) Cycles() int64 { return tc.k.cpu.CycleAt(tc.k.now) }
 
-// call performs the handshake for one request and blocks until the
-// kernel completes it.
+// call yields one request to the kernel and returns once the kernel has
+// completed it. A false yield means the kernel is shutting down: the
+// body unwinds to Spawn's recover.
 func (tc *TC) call(r request) {
-	tc.t.requests <- r
-	tok := <-tc.t.resume
-	if tok.kill {
+	if !tc.yield(r) {
 		panic(killSentinel{})
 	}
 }
@@ -230,15 +262,6 @@ func (tc *TC) call(r request) {
 // this thread, however long that takes in elapsed simulated time.
 func (tc *TC) Compute(seg cpu.Segment) {
 	tc.call(request{kind: reqCompute, seg: seg})
-}
-
-// Compute2 consumes CPU for two segments back to back in one kernel
-// request. Timing and memory-system effects are identical to two Compute
-// calls — the second segment is costed the instant the first finishes —
-// but the thread↔kernel handshake fires once instead of twice, which
-// matters for instruments that compute on every sample.
-func (tc *TC) Compute2(a, b cpu.Segment) {
-	tc.call(request{kind: reqCompute2, seg: a, seg2: b})
 }
 
 // DomainCross models a protection-domain (address-space) crossing: TLB

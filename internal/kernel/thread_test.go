@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -338,6 +339,69 @@ func TestCPUFrequencyInvalidPanics(t *testing.T) {
 		}
 	}()
 	New(cfg)
+}
+
+func TestZeroClockTickPanics(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ClockTick = 0 // the recurring clock would re-arm at t=0 forever
+	defer func() {
+		if p := recover(); p != "kernel: ClockTick must be positive" {
+			t.Fatalf("zero ClockTick should panic at boot, got %v", p)
+		}
+	}()
+	New(cfg)
+}
+
+// TestThreadPanicReachesRunCaller pins panic containment: a panic in an
+// application thread body surfaces in whoever called Run, where a
+// recover can contain it, and the kernel still shuts down cleanly.
+func TestThreadPanicReachesRunCaller(t *testing.T) {
+	k := New(quietConfig())
+	k.Spawn("bystander", 1, 8, func(tc *TC) { tc.GetMessage() })
+	k.Spawn("buggy", 2, 8, func(tc *TC) {
+		tc.Sleep(simtime.Millisecond)
+		panic("app bug")
+	})
+	got := func() (p any) {
+		defer k.Shutdown()
+		defer func() { p = recover() }()
+		k.RunFor(50 * simtime.Millisecond)
+		return nil
+	}()
+	if got != "app bug" {
+		t.Fatalf("recovered %v, want the body's panic value", got)
+	}
+	if k.Now() >= simtime.Time(50*simtime.Millisecond) {
+		t.Fatalf("Run completed at %v; the panic should have cut it short", k.Now())
+	}
+}
+
+// TestThreadsReleasedAcrossKernelLifetimes pins that Shutdown releases
+// every Spawned thread: killed mid-request (blocked, sleeping or
+// computing), never scheduled, or already returned.
+func TestThreadsReleasedAcrossKernelLifetimes(t *testing.T) {
+	life := func() {
+		k := New(quietConfig())
+		k.Spawn("returned", 1, 9, func(tc *TC) { tc.Compute(burn("w", 1)) })
+		k.Spawn("blocked", 1, 8, func(tc *TC) { tc.GetMessage() })
+		k.Spawn("sleeping", 1, 8, func(tc *TC) { tc.Sleep(simtime.Second) })
+		k.Spawn("computing", 2, 7, func(tc *TC) {
+			for {
+				tc.Compute(burn("w", 1))
+			}
+		})
+		k.Spawn("starved", 3, 1, func(tc *TC) { t.Error("starved thread ran") })
+		k.RunFor(5 * simtime.Millisecond)
+		k.Shutdown()
+	}
+	life() // warm up any lazily started runtime goroutines
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		life()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d -> %d across 1000 kernel lifetimes", before, after)
+	}
 }
 
 func TestReadFileAsync(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"latlab/internal/experiments"
+	"latlab/internal/kernel"
 	"latlab/internal/scenario"
+	"latlab/internal/simtime"
 )
 
 // fakeResult renders a fixed payload.
@@ -106,21 +108,37 @@ func TestPanicBecomesFailedRecord(t *testing.T) {
 				panic("injected failure")
 			}},
 		mkSpec("ok2", time.Millisecond),
+		// The panic happens in a simulated thread's body, which the
+		// kernel runs as a coroutine: it must still reach the runner.
+		{ID: "thread-boom", Title: "panicking app thread", Paper: "test",
+			Run: func(context.Context, experiments.Config) (experiments.Result, error) {
+				k := kernel.New(kernel.DefaultConfig())
+				defer k.Shutdown()
+				k.Spawn("app", 1, 8, func(tc *kernel.TC) {
+					tc.Sleep(simtime.Millisecond)
+					panic("app-model failure")
+				})
+				k.RunFor(simtime.Second)
+				return nil, errors.New("unreachable")
+			}},
+		mkSpec("ok3", time.Millisecond),
 	}
 	out, man := render(t, specs, 4, 0)
-	want := "payload-ok1\nFAILED boom\npayload-ok2\n"
+	want := "payload-ok1\nFAILED boom\npayload-ok2\nFAILED thread-boom\npayload-ok3\n"
 	if out != want {
 		t.Fatalf("output = %q, want %q", out, want)
 	}
-	if man.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1", man.Failed())
+	if man.Failed() != 2 {
+		t.Fatalf("failed = %d, want 2", man.Failed())
 	}
-	rec := man.Records[1]
-	if !rec.Panicked || !strings.Contains(rec.Error, "injected failure") {
-		t.Fatalf("panic record wrong: %+v", rec)
-	}
-	if !strings.Contains(rec.Error, "runner_test.go") {
-		t.Fatalf("panic record should carry a stack trace: %q", rec.Error)
+	for i, msg := range map[int]string{1: "injected failure", 3: "app-model failure"} {
+		rec := man.Records[i]
+		if !rec.Panicked || !strings.Contains(rec.Error, msg) {
+			t.Fatalf("panic record wrong: %+v", rec)
+		}
+		if !strings.Contains(rec.Error, "runner_test.go") {
+			t.Fatalf("panic record should carry a stack trace: %q", rec.Error)
+		}
 	}
 }
 

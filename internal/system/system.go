@@ -73,8 +73,8 @@ type Config struct {
 // New builds and starts a machine from cfg: kernel on cfg.Machine,
 // window system, the persona's background threads, and (for personas
 // with MouseBusyWait) the mouse router; then arms cfg.Faults and
-// attaches cfg.Spans. Call Shutdown when done to release thread
-// goroutines.
+// attaches cfg.Spans. Call Shutdown when done to release the
+// applications' thread coroutines.
 func New(cfg Config) *System {
 	if cfg.Persona.Name == "" {
 		panic("system: New with zero-value Persona")
@@ -88,9 +88,9 @@ func New(cfg Config) *System {
 
 	for _, b := range p.Background {
 		b := b
-		// Housekeeping threads are kernel-resident loops (no goroutine):
-		// the phase toggle issues the identical Sleep/Compute request
-		// stream the goroutine form did. On a multicore profile they are
+		// Housekeeping threads are kernel-resident loops (no coroutine):
+		// the phase toggle issues the Sleep/Compute request stream one
+		// request per invocation. On a multicore profile they are
 		// pinned to logical CPU 1 — the housekeeping core, spilling onto
 		// further aux cores under contention — so the scheduler core
 		// (and the idle-loop instrument watching it) never sees them.
