@@ -111,9 +111,10 @@ cover:
 
 # 10 seconds of coverage-guided fuzzing per fuzzer: the idle and
 # attribution CSV parsers, the JSONL ledger and quarantine parsers, the
-# scenario DSL, and the differential event-queue check
-# (the 4-ary heap vs a linear-scan model on random schedule/cancel
-# programs).
+# scenario DSL, the differential event-queue check (the 4-ary heap vs
+# a linear-scan model on random schedule/cancel programs), and the
+# differential LRU check (the on-demand LRU vs the capacity-sized one
+# it replaced, on random touch/flush/evict programs).
 # `go test` only accepts one -fuzz pattern at a time, so each fuzzer
 # gets its own run.
 FUZZ_TIME ?= 10s
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLedger$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuarantine$$' -fuzztime $(FUZZ_TIME) ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/eventq
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/mem
 
 # Re-run the committed demo campaign (10080 quick sessions) at a
 # non-default worker count and require the ledger and the analyze

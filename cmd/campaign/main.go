@@ -31,6 +31,10 @@
 // id contains SUBSTR, `fail=SUBSTR@N` fails only while the cell's
 // global attempt number is ≤ N — so CI can fault or slow specific
 // cells deterministically through the real binary.
+//
+// `campaign run` and `campaign resume` take -cpuprofile and -memprofile,
+// which write runtime/pprof CPU and allocation profiles of the run (read
+// them with `go tool pprof`); the ledger is unchanged.
 package main
 
 import (
@@ -50,6 +54,7 @@ import (
 
 	"latlab/internal/campaign"
 	"latlab/internal/kernel"
+	"latlab/internal/runner"
 )
 
 // Exit codes, so agents and CI can branch on outcome without parsing
@@ -96,8 +101,10 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   campaign run     -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
                    [-engine batched|reference] [-batch N]
+                   [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
   campaign resume  -spec spec.json -ledger out.jsonl [-quick] [-jobs N] [-timeout D]
                    [-engine batched|reference] [-batch N]
+                   [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
                    [-retry-budget N] [-backoff D]
   campaign analyze -ledger out.jsonl [-out report.txt]
                    [-emit-spec next.json -spec spec.json]
@@ -111,7 +118,8 @@ idle skipping, -batch machines stepped per worker) is a pure
 throughput knob, never a semantics knob. A failing cell is quarantined (recorded in
 <ledger>.quarantine.jsonl) while the rest of the campaign completes;
 SIGINT/SIGTERM drains in-flight cells, fsyncs the ledger, and leaves a
-resumable prefix.
+resumable prefix. -cpuprofile and -memprofile write runtime/pprof
+profiles of the run for go tool pprof.
 
 resume runs only the cells the ledger does not already hold, appending
 in canonical order — an interrupted run plus a resume reproduces the
@@ -151,7 +159,7 @@ func (e planErr) Error() string { return e.err.Error() }
 // runCampaign implements `campaign run` (resume=false) and `campaign
 // resume` (resume=true); the two share everything but cell selection
 // and the retry budget.
-func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
+func runCampaign(args []string, stdout, stderr io.Writer, resume bool) (code int) {
 	name := "campaign run"
 	if resume {
 		name = "campaign resume"
@@ -166,6 +174,8 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		timeout    = fs.Duration("timeout", 0, "per-cell timeout, retries included (0 = none)")
 		engine     = fs.String("engine", "batched", "simulation engine: batched (adds analytic idle skipping) or reference (byte-identical ledgers)")
 		batch      = fs.Int("batch", 8, "machines stepped per worker as one batch (1 = one machine at a time)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf    = fs.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof)")
 	)
 	budget, backoff := new(int), new(time.Duration)
 	if resume {
@@ -193,6 +203,19 @@ func runCampaign(args []string, stdout, stderr io.Writer, resume bool) int {
 		fmt.Fprintf(stderr, "%s: -batch must be >= 1, got %d\n", name, *batch)
 		return exitUsage
 	}
+	stopProfile, err := runner.Profile(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: profiling: %v\n", name, err)
+		return exitUsage
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "%s: profiling: %v\n", name, err)
+			if code == exitOK {
+				code = exitUsage
+			}
+		}
+	}()
 	c, err := campaign.LoadSpec(*specPath)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -119,3 +119,27 @@ func TestCLIUsageAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProfileFlags: `campaign run -cpuprofile -memprofile` writes
+// non-empty pprof files and a ledger byte-identical to an unprofiled
+// run's.
+func TestRunProfileFlags(t *testing.T) {
+	plain, _ := runMini(t, 2)
+	dir := t.TempDir()
+	ledger := filepath.Join(dir, "ledger.jsonl")
+	cpuPath, memPath := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	runCLI(t, "run", "-spec", "testdata/mini.json", "-ledger", ledger, "-quick", "-jobs", "2",
+		"-cpuprofile", cpuPath, "-memprofile", memPath)
+	profiled, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, profiled) {
+		t.Fatalf("profiling changed the ledger")
+	}
+	for _, p := range []string{cpuPath, memPath} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (%v)", p, err)
+		}
+	}
+}

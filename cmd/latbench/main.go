@@ -15,6 +15,7 @@
 //	         [-json manifest.json] [-csv-dir dir] [-svg-dir dir]
 //	         [-trace trace.json] [-attrib attrib.csv]
 //	         [-engine reference|batched]
+//	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	latbench -scenario doc.json [-force]
 //	latbench -run corpus [-corpus dir]
 //
@@ -34,6 +35,10 @@
 // and writes them as Chrome trace-event JSON (load the file in Perfetto
 // or chrome://tracing); -attrib reduces the same spans to a per-episode
 // "where did the time go" CSV (render it with traceview -attrib).
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and allocation
+// profiles of the whole run (read them with `go tool pprof`); the
+// rendered output is unchanged.
 package main
 
 import (
@@ -62,7 +67,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("latbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -84,6 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		corpusDir = fs.String("corpus", "testdata/scenarios", "scenario corpus directory replayed by -run corpus")
 		force     = fs.Bool("force", false, "let a scenario's pinned machine silently override an explicit -machine")
 		engineArg = fs.String("engine", "reference", "simulation engine: reference, or batched (adds analytic idle skipping; byte-identical outputs)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf   = fs.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof)")
 	)
 	fs.Usage = func() { groupedUsage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
@@ -101,6 +108,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "latbench: -engine must be reference or batched, got %q\n", *engineArg)
 		return 2
 	}
+
+	stopProfile, err := runner.Profile(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(stderr, "latbench: profiling: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "latbench: profiling: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *list {
 		groups := []struct {
@@ -348,6 +369,7 @@ func groupedUsage(fs *flag.FlagSet, w io.Writer) {
 		{"run selection", []string{"list", "run", "quick", "seed", "jobs", "timeout", "retries"}},
 		{"output", []string{"out", "json", "csv-dir", "svg-dir", "trace", "attrib"}},
 		{"machine & scenario", []string{"machine", "scenario", "corpus", "force"}},
+		{"profiling", []string{"cpuprofile", "memprofile"}},
 	}
 	for _, g := range groups {
 		fmt.Fprintf(w, "\n%s:\n", g.title)

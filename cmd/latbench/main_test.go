@@ -440,3 +440,31 @@ func TestExportErrorLeavesNoOutFile(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof
+// files and leave the rendered output byte-identical; an unwritable
+// profile path exits 1 before any experiment runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-quick", "-run", "fig1,fig4", "-jobs", "1"}
+	var plain, profiled, errBuf strings.Builder
+	if code := run(args, &plain, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	cpuPath, memPath := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code := run(append(args, "-cpuprofile", cpuPath, "-memprofile", memPath), &profiled, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	if plain.String() != profiled.String() {
+		t.Fatalf("profiling changed the rendered output")
+	}
+	for _, p := range []string{cpuPath, memPath} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (%v)", p, err)
+		}
+	}
+	var out strings.Builder
+	if code := run([]string{"-run", "fig1", "-cpuprofile", filepath.Join(dir, "nope", "cpu.pprof")}, &out, &errBuf); code != 1 || out.Len() != 0 {
+		t.Fatalf("bad -cpuprofile path: exit %d with %d bytes rendered, want exit 1 and nothing", code, out.Len())
+	}
+}

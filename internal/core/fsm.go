@@ -149,66 +149,53 @@ func (f *FSM) WaitTime() simtime.Duration { return f.wait }
 // fresh FSM and returns it, finished at end. This is the "additional
 // system support" configuration; RunFSMFromMeasurement feeds measured CPU
 // state instead.
+//
+// Each log is already in time order (the kernel appends at its current
+// time), so the replay is one linear merge of the four. Records at the
+// same instant go busy changes first, then queue changes, then sync-I/O
+// changes; a post and a message-API return at the same instant go by
+// their index in their own log, the post first on a tie. A log out of
+// time order makes the FSM panic.
 func DriveFSM(p *Probe, thread int, end simtime.Time) *FSM {
 	f := NewFSM()
-	var evs []ev
-	for i, b := range p.Busy {
-		evs = append(evs, ev{at: b.At, seq: i, kind: 0, b: b.Busy})
-	}
-	for i, post := range p.Posts {
-		if post.Thread == thread {
-			evs = append(evs, ev{at: post.At, seq: i, kind: 1, n: post.QueueLen})
+	var b, po, m, s int
+	for {
+		for po < len(p.Posts) && p.Posts[po].Thread != thread {
+			po++
+		}
+		for m < len(p.Msgs) && p.Msgs[m].Thread != thread {
+			m++
+		}
+		// Each log's head instant; an exhausted log's is Never.
+		tb, tp, tm, ts := simtime.Never, simtime.Never, simtime.Never, simtime.Never
+		if b < len(p.Busy) {
+			tb = p.Busy[b].At
+		}
+		if po < len(p.Posts) {
+			tp = p.Posts[po].At
+		}
+		if m < len(p.Msgs) {
+			tm = p.Msgs[m].Return
+		}
+		if s < len(p.SyncIO) {
+			ts = p.SyncIO[s].At
+		}
+		switch t := min(tb, tp, tm, ts); {
+		case t == simtime.Never:
+			f.Finish(end)
+			return f
+		case tb == t:
+			f.SetCPU(p.Busy[b].Busy, t)
+			b++
+		case tp == t && (tm != t || po <= m):
+			f.SetQueue(p.Posts[po].QueueLen, t)
+			po++
+		case tm == t:
+			f.SetQueue(p.Msgs[m].QueueLen, t)
+			m++
+		default:
+			f.SetSyncIO(p.SyncIO[s].Outstanding, t)
+			s++
 		}
 	}
-	for i, m := range p.Msgs {
-		if m.Thread == thread {
-			evs = append(evs, ev{at: m.Return, seq: i, kind: 1, n: m.QueueLen})
-		}
-	}
-	for i, s := range p.SyncIO {
-		evs = append(evs, ev{at: s.At, seq: i, kind: 2, n: s.Outstanding})
-	}
-	// Stable sort by time; ties resolved by original order within kind,
-	// which is already chronological, then by kind (busy first).
-	sortEvs(evs)
-	for _, e := range evs {
-		switch e.kind {
-		case 0:
-			f.SetCPU(e.b, e.at)
-		case 1:
-			f.SetQueue(e.n, e.at)
-		case 2:
-			f.SetSyncIO(e.n, e.at)
-		}
-	}
-	f.Finish(end)
-	return f
-}
-
-func sortEvs(evs []ev) {
-	// insertion sort keeps it dependency-free and stable; logs are
-	// near-sorted already.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && less(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-type ev struct {
-	at   simtime.Time
-	seq  int
-	kind int
-	b    bool
-	n    int
-}
-
-func less(a, b ev) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
 }

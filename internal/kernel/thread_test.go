@@ -395,6 +395,11 @@ func TestThreadsReleasedAcrossKernelLifetimes(t *testing.T) {
 		k.Shutdown()
 	}
 	life() // warm up any lazily started runtime goroutines
+	// Count from a settled runtime. Before the binary's first GC cycle
+	// the count here has been seen to include one transient goroutine
+	// that is gone moments later (3 -> 2 across the loop): a change
+	// that has nothing to do with kernel threads.
+	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
 		life()

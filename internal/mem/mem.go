@@ -19,18 +19,21 @@ import (
 // least-recently-used entry on overflow. The zero value is unusable; use
 // NewLRU.
 //
-// The recency list is intrusive over a fixed node slab allocated once at
-// construction: a miss recycles a slot (from the free list, or by
-// evicting the LRU entry) instead of allocating, and a flush clears the
-// index map in place instead of replacing it. TLBs are flushed on every
-// protection-domain crossing, so both paths are hot.
+// The recency list is intrusive over a node slab that grows by append,
+// up to the capacity, as identifiers arrive: an LRU is sized by what it
+// holds, not by what it could hold, so a machine whose working set is a
+// fraction of a large cache pays for the fraction. Once the slab is
+// full a miss recycles a slot (one EvictOldest released, or the LRU
+// entry's) instead of allocating. A flush truncates the slab and clears
+// the index map in place instead of replacing them. TLBs are flushed on
+// every protection-domain crossing, so both paths are hot.
 type LRU struct {
 	cap   int
 	index map[uint64]int32
-	nodes []node // fixed slab of cap slots
-	free  []int32
-	head  int32 // most recently used, -1 when empty
-	tail  int32 // least recently used, -1 when empty
+	nodes []node  // slab, at most cap slots
+	free  []int32 // slots EvictOldest released
+	head  int32   // most recently used, -1 when empty
+	tail  int32   // least recently used, -1 when empty
 }
 
 // node is one slab slot of the intrusive recency list; prev/next are
@@ -42,29 +45,12 @@ type node struct {
 
 const noSlot int32 = -1
 
-// NewLRU returns an LRU set with the given capacity.
+// NewLRU returns an empty LRU set with the given capacity.
 func NewLRU(capacity int) *LRU {
 	if capacity <= 0 {
 		panic("mem: non-positive LRU capacity")
 	}
-	l := &LRU{
-		cap:   capacity,
-		index: make(map[uint64]int32, capacity),
-		nodes: make([]node, capacity),
-		free:  make([]int32, capacity),
-		head:  noSlot,
-		tail:  noSlot,
-	}
-	l.resetFree()
-	return l
-}
-
-// resetFree refills the free list with every slot.
-func (l *LRU) resetFree() {
-	l.free = l.free[:0]
-	for i := l.cap - 1; i >= 0; i-- {
-		l.free = append(l.free, int32(i))
-	}
+	return &LRU{cap: capacity, index: make(map[uint64]int32), head: noSlot, tail: noSlot}
 }
 
 // Cap returns the capacity.
@@ -87,10 +73,14 @@ func (l *LRU) Touch(id uint64) bool {
 		return true
 	}
 	var slot int32
-	if n := len(l.free); n > 0 {
+	switch n := len(l.free); {
+	case n > 0:
 		slot = l.free[n-1]
 		l.free = l.free[:n-1]
-	} else {
+	case len(l.nodes) < l.cap:
+		slot = int32(len(l.nodes))
+		l.nodes = append(l.nodes, node{})
+	default:
 		slot = l.evict()
 	}
 	l.nodes[slot].id = id
@@ -105,8 +95,8 @@ func (l *LRU) Insert(id uint64) { l.Touch(id) }
 // Flush empties the set (a TLB flush on protection-domain crossing).
 func (l *LRU) Flush() {
 	clear(l.index)
+	l.nodes, l.free = l.nodes[:0], l.free[:0]
 	l.head, l.tail = noSlot, noSlot
-	l.resetFree()
 }
 
 func (l *LRU) pushFront(n int32) {

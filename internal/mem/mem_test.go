@@ -213,3 +213,177 @@ func TestNoL2EveryCacheReferenceMisses(t *testing.T) {
 		t.Fatalf("TLBs should still warm up on a no-L2 machine")
 	}
 }
+
+// oracleLRU is a reference LRU whose map index and node slab are both
+// sized to the capacity at construction, with every slot on the free
+// list from the start. FuzzLRUEquivalence holds LRU, which grows both
+// on demand, to its answers.
+type oracleLRU struct {
+	cap   int
+	index map[uint64]int32
+	nodes []node
+	free  []int32
+	head  int32
+	tail  int32
+}
+
+func newOracleLRU(capacity int) *oracleLRU {
+	l := &oracleLRU{
+		cap:   capacity,
+		index: make(map[uint64]int32, capacity),
+		nodes: make([]node, capacity),
+		free:  make([]int32, capacity),
+		head:  noSlot,
+		tail:  noSlot,
+	}
+	l.resetFree()
+	return l
+}
+
+func (l *oracleLRU) resetFree() {
+	l.free = l.free[:0]
+	for i := l.cap - 1; i >= 0; i-- {
+		l.free = append(l.free, int32(i))
+	}
+}
+
+func (l *oracleLRU) Len() int { return len(l.index) }
+
+func (l *oracleLRU) Contains(id uint64) bool {
+	_, ok := l.index[id]
+	return ok
+}
+
+func (l *oracleLRU) Touch(id uint64) bool {
+	if n, ok := l.index[id]; ok {
+		l.moveToFront(n)
+		return true
+	}
+	var slot int32
+	if n := len(l.free); n > 0 {
+		slot = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		slot = l.evict()
+	}
+	l.nodes[slot].id = id
+	l.index[id] = slot
+	l.pushFront(slot)
+	return false
+}
+
+func (l *oracleLRU) Flush() {
+	clear(l.index)
+	l.head, l.tail = noSlot, noSlot
+	l.resetFree()
+}
+
+func (l *oracleLRU) pushFront(n int32) {
+	l.nodes[n].prev = noSlot
+	l.nodes[n].next = l.head
+	if l.head != noSlot {
+		l.nodes[l.head].prev = n
+	}
+	l.head = n
+	if l.tail == noSlot {
+		l.tail = n
+	}
+}
+
+func (l *oracleLRU) unlink(n int32) {
+	prev, next := l.nodes[n].prev, l.nodes[n].next
+	if prev != noSlot {
+		l.nodes[prev].next = next
+	} else {
+		l.head = next
+	}
+	if next != noSlot {
+		l.nodes[next].prev = prev
+	} else {
+		l.tail = prev
+	}
+	l.nodes[n].prev, l.nodes[n].next = noSlot, noSlot
+}
+
+func (l *oracleLRU) moveToFront(n int32) {
+	if l.head == n {
+		return
+	}
+	l.unlink(n)
+	l.pushFront(n)
+}
+
+func (l *oracleLRU) evict() int32 {
+	victim := l.tail
+	l.unlink(victim)
+	delete(l.index, l.nodes[victim].id)
+	return victim
+}
+
+func (l *oracleLRU) EvictOldest(n int) int {
+	evicted := 0
+	for evicted < n && l.tail != noSlot {
+		l.free = append(l.free, l.evict())
+		evicted++
+	}
+	return evicted
+}
+
+// FuzzLRUEquivalence interleaves Touch, Contains, Flush, EvictOldest and
+// Len on the LRU and on oracleLRU, and requires every return value to
+// agree. The first byte picks a capacity of 1-16; each later byte is an
+// op, and Touch, Contains and EvictOldest take the next byte as their
+// operand. Identifiers come from a range a little wider than the
+// largest capacity, so hits, misses and evictions all occur.
+func FuzzLRUEquivalence(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0, 2, 0, 3, 5, 1, 5, 0, 1})
+	f.Add([]byte{1, 0, 1, 0, 2, 2, 0, 3, 1, 1, 0, 4, 4})
+	f.Add([]byte{3, 0, 1, 0, 2, 3, 1, 2, 0, 3, 0, 4, 4})
+	f.Add([]byte{3, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 3, 2, 0, 1, 4, 0, 6, 1, 1})
+	f.Add([]byte{7, 0, 9, 0, 10, 0, 11, 3, 1, 0, 12, 0, 9, 2, 0, 13, 1, 9, 4})
+	f.Add([]byte{15, 0, 1, 0, 2, 0, 1, 3, 9, 0, 3, 0, 4, 4, 2, 3, 1, 0, 5, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0]%16) + 1
+		l, o := NewLRU(capacity), newOracleLRU(capacity)
+		for i := 1; i < len(data); i++ {
+			op := data[i] % 5
+			var arg byte
+			if op == 0 || op == 1 || op == 3 {
+				i++
+				if i >= len(data) {
+					break
+				}
+				arg = data[i]
+			}
+			id := uint64(arg % 20)
+			switch op {
+			case 0:
+				if got, want := l.Touch(id), o.Touch(id); got != want {
+					t.Fatalf("op %d: Touch(%d) = %v, oracle %v", i, id, got, want)
+				}
+			case 1:
+				if got, want := l.Contains(id), o.Contains(id); got != want {
+					t.Fatalf("op %d: Contains(%d) = %v, oracle %v", i, id, got, want)
+				}
+			case 2:
+				l.Flush()
+				o.Flush()
+			case 3:
+				n := int(arg % 8)
+				if got, want := l.EvictOldest(n), o.EvictOldest(n); got != want {
+					t.Fatalf("op %d: EvictOldest(%d) = %d, oracle %d", i, n, got, want)
+				}
+			case 4:
+				if got, want := l.Len(), o.Len(); got != want {
+					t.Fatalf("op %d: Len = %d, oracle %d", i, got, want)
+				}
+			}
+		}
+		if got, want := l.Len(), o.Len(); got != want {
+			t.Fatalf("final Len = %d, oracle %d", got, want)
+		}
+	})
+}
