@@ -31,17 +31,22 @@ all: build verify
 build:
 	$(GO) build ./...
 
+# perfbench is a module of its own, so the root `./...` neither builds
+# nor vets it; vetting it here catches an internal API change that
+# breaks the benchmark before the benchmark run does.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test: verify
 
 race:
 	$(GO) test -race ./...
 
-# The CI gate: vet plus the full suite under the race detector (the
-# runner is concurrent, so a plain `go test` can miss real bugs), then
-# the benchmark regression gate and a short fuzz of the parsers. The
+# The CI gate: vet (root module and perfbench) plus the full suite
+# under the race detector (the runner is concurrent, so a plain
+# `go test` can miss real bugs), then the benchmark regression gate
+# and a short fuzz of the parsers. The
 # race run already covers every golden replay (the scenario corpus,
 # the ext-modern chapter, the batched-engine corpus and the in-batch
 # session equivalence), so the sub-gates below only add what `go test`

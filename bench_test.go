@@ -8,12 +8,11 @@
 // Run with:
 //
 //	go test -bench=. -benchmem
-package latlab
+package latlab_test
 
 import (
 	"context"
 	"io"
-	"latlab/internal/machine"
 	"testing"
 	"time"
 
@@ -176,10 +175,15 @@ func BenchmarkS54TestVsHand(b *testing.B) {
 // the benchmark output.
 
 // keystrokeLatency measures the mean unbound-keystroke latency under p.
-func keystrokeLatency(b *testing.B, p persona.P) float64 {
+// tune, when non-nil, edits the booted machine's cost model before the
+// first keystroke.
+func keystrokeLatency(b *testing.B, p persona.P, tune func(*cpu.Penalties)) float64 {
 	b.Helper()
 	sys := system.New(system.Config{Persona: p})
 	defer sys.Shutdown()
+	if tune != nil {
+		tune(&sys.K.CPU().Penalties)
+	}
 	probe := core.AttachProbe(sys.K)
 	idle := core.StartIdleLoop(sys.K, 60_000)
 	app := sys.SpawnApp("bench", func(tc *kernel.TC) {
@@ -213,15 +217,12 @@ func BenchmarkAblationCrossingFlush(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
 		p := persona.NT351()
-		with = keystrokeLatency(b, p)
+		with = keystrokeLatency(b, p, nil)
 		noFlush := p
-		// Wholesale cost-model override: default hardware penalties but a
-		// free crossing (DomainCrossingCycles alone cannot express "zero").
-		noFlush.Kernel.Penalties = cpu.PenaltiesFor(machine.Pentium100())
-		noFlush.Kernel.Penalties.DomainCrossing = 0
-		noFlush.Kernel.DomainCrossingCycles = 0
 		noFlush.Kernel.FlushOnProcessSwitch = false
-		without = keystrokeLatency(b, noFlush)
+		// A free crossing: DomainCrossingCycles cannot express "zero", so
+		// the booted cost model is edited directly.
+		without = keystrokeLatency(b, noFlush, func(pen *cpu.Penalties) { pen.DomainCrossing = 0 })
 	}
 	b.ReportMetric(with, "with-flush-ms")
 	b.ReportMetric(without, "no-crossing-cost-ms")
@@ -233,12 +234,12 @@ func BenchmarkAblation16BitCosts(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
 		p := persona.W95()
-		with = keystrokeLatency(b, p)
+		with = keystrokeLatency(b, p, nil)
 		clean := p
 		clean.SegLoadsPerKCycle = 0
 		clean.UnalignedPerKCycle = 0
 		clean.DataWindowScale = 1.0
-		without = keystrokeLatency(b, clean)
+		without = keystrokeLatency(b, clean, nil)
 	}
 	b.ReportMetric(with, "w95-ms")
 	b.ReportMetric(without, "w95-no16bit-ms")

@@ -17,10 +17,11 @@ const corpusDir = "../../testdata/scenarios"
 
 // TestCorpusGolden replays every committed scenario document through
 // the full CLI path (-scenario, quick mode) and locks the rendering
-// byte-for-byte. The ext-faults-* twins share golden files with their
-// Go-registered counterparts from TestGoldenQuick — that sharing is the
-// proof that a file-backed experiment and a registered one produce
-// identical output — while the fuzzer-found fz-* documents get goldens
+// byte-for-byte. The ext-faults-* documents are also the registered
+// experiments' declarations (embedded, see latlab.ExtFaultsScenarios),
+// so they share golden files with TestGoldenQuick — that sharing is the
+// proof that -scenario and the registry run a document identically —
+// while the fuzzer-found fz-* documents get goldens
 // of their own (regenerate with -update). Because fz-* documents pin
 // their seed and machine, their cliff numbers reproduce here whatever
 // the environment.
@@ -47,8 +48,8 @@ func TestCorpusGolden(t *testing.T) {
 			}
 			golden := filepath.Join("testdata", "golden", doc.ID+".txt")
 			if *update && !strings.HasPrefix(doc.ID, "ext-") {
-				// Twin goldens belong to TestGoldenQuick; rewriting them here
-				// would mask a twin-vs-registered divergence.
+				// ext-faults-* goldens belong to TestGoldenQuick; rewriting them
+				// here would mask a -scenario-vs-registered divergence.
 				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -200,7 +200,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		// Compiled, not registered: a file may deliberately reuse a
-		// registered id (the testdata twins do).
+		// registered id (the ext-faults-* documents are the registered
+		// experiments' own declarations).
 		spec, err := experiments.FromScenario(doc)
 		if err != nil {
 			fmt.Fprintf(stderr, "latbench: %v\n", err)
@@ -368,7 +369,7 @@ func groupedUsage(fs *flag.FlagSet, w io.Writer) {
 	}{
 		{"run selection", []string{"list", "run", "quick", "seed", "jobs", "timeout", "retries"}},
 		{"output", []string{"out", "json", "csv-dir", "svg-dir", "trace", "attrib"}},
-		{"machine & scenario", []string{"machine", "scenario", "corpus", "force"}},
+		{"machine & scenario", []string{"machine", "engine", "scenario", "corpus", "force"}},
 		{"profiling", []string{"cpuprofile", "memprofile"}},
 	}
 	for _, g := range groups {

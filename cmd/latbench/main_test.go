@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -144,6 +147,49 @@ func TestBadFlag(t *testing.T) {
 	var out, errBuf strings.Builder
 	if code := run([]string{"-bogus"}, &out, &errBuf); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
+// TestHelpListsEveryFlag: groupedUsage prints only the flags its groups
+// name, so a flag added to run's FlagSet without a group is invisible
+// in -h. The flag names are read from the fs.<Type>("name", ...) calls
+// in main.go.
+func TestHelpListsEveryFlag(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
+		return true
+	})
+	if len(names) < 10 {
+		t.Fatalf("found only %d flag definitions in main.go: %v", len(names), names)
+	}
+	var out, errBuf strings.Builder
+	run([]string{"-h"}, &out, &errBuf)
+	for _, name := range names {
+		if !strings.Contains(errBuf.String(), "\n  -"+name+" ") && !strings.Contains(errBuf.String(), "\n  -"+name+"\n") {
+			t.Errorf("-h does not list -%s:\n%s", name, errBuf.String())
+		}
 	}
 }
 

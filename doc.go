@@ -4,9 +4,11 @@
 // a deterministic discrete-event simulation of its experimental
 // platform.
 //
-// The root package holds the benchmark harness (bench_test.go, one
-// benchmark per paper table/figure plus ablations) and smoke tests for
-// the runnable examples. The library lives under internal/:
+// The root package embeds the ext-faults-* scenario documents
+// (ExtFaultsScenarios, the family's only declaration) and holds the
+// benchmark harness (bench_test.go, one benchmark per paper
+// table/figure plus ablations) and smoke tests for the runnable
+// examples. The library lives under internal/:
 //
 //   - internal/core — the methodology: idle-loop instrument, message-API
 //     monitor, think/wait FSM, event extraction, latency reports,

@@ -1,4 +1,4 @@
-package latlab
+package latlab_test
 
 import (
 	"os/exec"

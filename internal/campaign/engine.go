@@ -27,9 +27,6 @@ type Options struct {
 	// backoff included; 0 means no limit. A timed-out cell is
 	// quarantined, not fatal.
 	Timeout time.Duration
-	// Alpha is the sketch relative accuracy; 0 means
-	// stats.DefaultSketchAlpha.
-	Alpha float64
 	// RetryBudget caps the total attempts a quarantined cell may consume
 	// across the original run and every resume. Cells without a prior
 	// quarantine entry always get exactly one attempt (failures are
@@ -74,14 +71,10 @@ type Options struct {
 	Batch int
 }
 
-// SketchAlpha resolves the sketch accuracy the options run with —
-// the value resume planning must match against existing records.
-func (o Options) SketchAlpha() float64 {
-	if o.Alpha == 0 {
-		return stats.DefaultSketchAlpha
-	}
-	return o.Alpha
-}
+// SketchAlpha is the sketch accuracy every run uses
+// (stats.DefaultSketchAlpha) — the value resume planning must match
+// against existing records.
+func (o Options) SketchAlpha() float64 { return stats.DefaultSketchAlpha }
 
 // attemptsFor returns how many attempts the cell may consume this run.
 func (o Options) attemptsFor(id string) (prior, allowed int) {

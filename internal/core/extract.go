@@ -43,11 +43,6 @@ type ExtractOptions struct {
 	// "we were able to clearly identify the Test overhead and remove it"
 	// (§5.1). The time still exists in elapsed time — the Fig. 7 anomaly.
 	StripQueueSync bool
-	// BusyThreshold is the per-sample stolen-time floor; defaults to
-	// DefaultBusyThreshold.
-	BusyThreshold simtime.Duration
-	// End caps the analysis window (defaults to the last sample).
-	End simtime.Time
 }
 
 // Extract correlates the idle-loop trace with the message-API trace and
@@ -61,12 +56,13 @@ type ExtractOptions struct {
 // application that keeps feeding itself work (Word's background
 // coroutines) inflates its events, reproducing the paper's §5.4
 // difficulty rather than papering over it.
+//
+// Busy spans are the samples above DefaultBusyThreshold, and the
+// analysis window ends at the last sample.
 func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOptions) []Event {
-	if opts.BusyThreshold == 0 {
-		opts.BusyThreshold = DefaultBusyThreshold
-	}
-	if opts.End == 0 && len(samples) > 0 {
-		opts.End = samples[len(samples)-1].Done
+	var traceEnd simtime.Time
+	if len(samples) > 0 {
+		traceEnd = samples[len(samples)-1].Done
 	}
 
 	// Count-then-fill keeps the analysis path at a handful of exact
@@ -88,7 +84,7 @@ func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOpt
 			}
 		}
 	}
-	spans := BusySpans(samples, opts.BusyThreshold)
+	spans := BusySpans(samples, DefaultBusyThreshold)
 
 	// Anchor records: user-input dequeues.
 	nanchors := 0
@@ -108,10 +104,10 @@ func Extract(samples []trace.IdleSample, msgs []trace.MsgRecord, opts ExtractOpt
 	}
 
 	// nextBlock[i] is the call time of the first blocking GetMessage at
-	// or after record i (opts.End when none): one backward pass replaces
+	// or after record i (traceEnd when none): one backward pass replaces
 	// a forward scan per anchor, which was quadratic in trace length.
 	nextBlock := make([]simtime.Time, len(recs)+1)
-	nextBlock[len(recs)] = opts.End
+	nextBlock[len(recs)] = traceEnd
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].API == trace.GetMessage && !recs[i].Received {
 			nextBlock[i] = recs[i].Call

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"latlab/internal/cpu"
+	"latlab/internal/machine"
+	"latlab/internal/persona"
 	"latlab/internal/simtime"
+	"latlab/internal/spans"
 )
 
 // cfg is the shared full-size configuration; individual tests opt into
@@ -350,6 +354,41 @@ func TestFig8AndTable1(t *testing.T) {
 			t.Fatalf("%s: long events carry %.0f%% of time, want majority",
 				s.Persona, 100*longLat/total)
 		}
+	}
+}
+
+// TestPPTMemoKeysOnMachineAndTrace: the shared PowerPoint run must not
+// hand a run on one machine, or an untraced run, to a caller that asked
+// for another machine or a trace. Both orders here are what one
+// process running fig8 twice (latbench -machine, -trace) does.
+func TestPPTMemoKeysOnMachineAndTrace(t *testing.T) {
+	p := persona.NT40()
+	// A seed no other test uses, so the shared memo starts cold.
+	cfg := Config{Seed: 4217, Quick: true}
+
+	p100 := cfg
+	p100.Machine = machine.Pentium100()
+	p200 := cfg
+	p200.Machine = machine.Pentium200()
+	pptTask(p, p100)
+	got := pptTask(p, p200)
+	want := pptSimulate(p, p200)
+	if got.elapsed != want.elapsed || !reflect.DeepEqual(got.events, want.events) {
+		t.Fatalf("p200 run after p100 = %v elapsed, fresh p200 run = %v", got.elapsed, want.elapsed)
+	}
+
+	traced := cfg
+	traced.Trace = &spans.Collector{}
+	pptTask(p, cfg)
+	pptTask(p, traced)
+	n := 0
+	for _, tr := range traced.Trace.Tracks() {
+		if strings.HasPrefix(tr.Name, "powerpoint-task:") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("traced run after an untraced one deposited %d powerpoint-task tracks, want 1", n)
 	}
 }
 

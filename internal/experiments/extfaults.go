@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"io/fs"
 
+	"latlab"
 	"latlab/internal/apps"
 	"latlab/internal/core"
 	"latlab/internal/cpu"
@@ -127,22 +129,7 @@ func openPPT(label string, cfg Config, sc scRun, plan faults.Plan) *ScenarioSess
 	faults.NewClock(plan).Arm(faultsTarget(r, false))
 	ppt := apps.NewPowerpoint(r.sys, params)
 
-	think := simtime.FromMillis(defF(sc.prm.ThinkMs, 300))
-	var steps []chainStep
-	steps = append(steps, step(kernel.WMCommand, apps.CmdLaunch, 500*simtime.Millisecond))
-	steps = append(steps, step(kernel.WMCommand, apps.CmdOpen, think))
-	for i, downs := range pageDowns {
-		for j := 0; j < downs; j++ {
-			steps = append(steps, step(kernel.WMKeyDown, input.VKPageDown, think))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEditObject+int64(i), think))
-		for k := 0; k < 3; k++ {
-			steps = append(steps, step(kernel.WMChar, '7', 150*simtime.Millisecond))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEndEdit, think))
-	}
-	steps = append(steps, step(kernel.WMCommand, apps.CmdSave, think))
-
+	steps := pptSteps(pageDowns, simtime.FromMillis(defF(sc.prm.ThinkMs, 300)))
 	return openChain(label, r, ppt.Thread(), steps, true,
 		simtime.Time(secs(defF(sc.prm.DeadlineS, 380))))
 }
@@ -223,101 +210,22 @@ func openBrowser(label string, cfg Config, sc scRun, plan faults.Plan) *Scenario
 		simtime.Time(secs(defF(sc.prm.DeadlineS, 110))))
 }
 
-// compareCleanDegraded is the canonical comparison of the ext-faults
-// family: the same workload once on a clean machine, once under the
-// document's fault plan.
-func compareCleanDegraded() []scenario.Row {
-	return []scenario.Row{{Label: "clean"}, {Label: "degraded", Faulted: true}}
-}
-
-// extFaultsDiskDoc declares ext-faults-disk: the §5.2 PowerPoint task
-// under disk degradation. The span (120 s full, 30 s quick) matches
-// the task so the windows land mid-run.
-func extFaultsDiskDoc() scenario.Doc {
-	return scenario.Doc{
-		Schema:  scenario.SchemaVersion,
-		ID:      "ext-faults-disk",
-		Title:   "Latency analysis under injected disk faults",
-		Banner:  "Powerpoint task under disk faults (degrade, stall, media errors)",
-		Paper:   "Table 1, §5.2 (robustness extension)",
-		Persona: "nt40",
-		Workload: scenario.Workload{
-			Kind: scenario.KindPowerpoint,
-			Full: scenario.Params{PageDowns: []int{9, 10, 10}},
-			Quick: &scenario.Params{Slides: 12, ObjectSlides: []int{3, 6, 9},
-				PageDowns: []int{2, 3}},
-		},
-		Faults: &scenario.FaultSpec{
-			Kinds:      []string{"disk-degrade", "disk-stall", "disk-media-errors"},
-			SpanS:      120,
-			QuickSpanS: 30,
-		},
-		Compare: compareCleanDegraded(),
-	}
-}
-
-// extFaultsIRQDoc declares ext-faults-irq: a typist session under
-// interrupt and scheduler degradation. The span matches the typing
-// session (~10 s quick, ~26 s full) so the windows land mid-session.
-func extFaultsIRQDoc() scenario.Doc {
-	return scenario.Doc{
-		Schema:  scenario.SchemaVersion,
-		ID:      "ext-faults-irq",
-		Title:   "Latency analysis under interrupt and scheduler faults",
-		Banner:  "Notepad typing under interrupt storm, timer jitter, priority inversion",
-		Paper:   "§2.5, §5.3 (robustness extension)",
-		Persona: "nt40",
-		Workload: scenario.Workload{
-			Kind:  scenario.KindTyping,
-			Full:  scenario.Params{Chars: 150},
-			Quick: &scenario.Params{Chars: 60},
-		},
-		Faults: &scenario.FaultSpec{
-			Kinds:      []string{"irq-storm", "timer-jitter", "priority-inversion"},
-			SpanS:      26,
-			QuickSpanS: 12,
-		},
-		Compare: compareCleanDegraded(),
-	}
-}
-
-// extFaultsCacheDoc declares ext-faults-cache: two browsing passes
-// under buffer-cache pressure. The span (~8 s quick, ~18 s full)
-// straddles the cache-warm second pass.
-func extFaultsCacheDoc() scenario.Doc {
-	return scenario.Doc{
-		Schema:  scenario.SchemaVersion,
-		ID:      "ext-faults-cache",
-		Title:   "Latency analysis under cache pressure",
-		Banner:  "document browsing under buffer-cache pressure",
-		Paper:   "Table 1, §5.2 (robustness extension)",
-		Persona: "nt40",
-		Workload: scenario.Workload{
-			Kind:  scenario.KindBrowse,
-			Full:  scenario.Params{Views: 16},
-			Quick: &scenario.Params{Views: 8},
-		},
-		Faults: &scenario.FaultSpec{
-			Kinds:      []string{"cache-pressure"},
-			SpanS:      18,
-			QuickSpanS: 10,
-		},
-		Compare: compareCleanDegraded(),
-	}
-}
-
-// extFaultsDocs returns the family's documents; the JSON twins under
-// testdata/scenarios/ are kept byte-equivalent to these by
-// TestScenarioTwinsMatchGoRegistered.
-func extFaultsDocs() []scenario.Doc {
-	return []scenario.Doc{extFaultsDiskDoc(), extFaultsIRQDoc(), extFaultsCacheDoc()}
-}
-
 func init() {
-	// The ext-faults family registers through the scenario compiler:
-	// these Go-declared documents and their file twins share one code
-	// path end to end.
-	for _, doc := range extFaultsDocs() {
+	// The ext-faults family is declared only by its scenario documents;
+	// each registers through the scenario compiler.
+	paths, err := fs.Glob(latlab.ExtFaultsScenarios, "testdata/scenarios/*.json")
+	if err != nil {
+		panic(err)
+	}
+	for _, path := range paths {
+		data, err := latlab.ExtFaultsScenarios.ReadFile(path)
+		if err != nil {
+			panic(err)
+		}
+		doc, err := scenario.Parse(data)
+		if err != nil {
+			panic(fmt.Sprintf("%s: %v", path, err))
+		}
 		spec, err := FromScenario(doc)
 		if err != nil {
 			panic(err)

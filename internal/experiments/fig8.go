@@ -13,6 +13,7 @@ import (
 	"latlab/internal/kernel"
 	"latlab/internal/persona"
 	"latlab/internal/simtime"
+	"latlab/internal/spans"
 	"latlab/internal/viz"
 )
 
@@ -36,8 +37,18 @@ type labeledEvent struct {
 // duplicating it. A cached *pptRun is immutable once published.
 var pptMemo = struct {
 	mu sync.Mutex
-	m  map[string]*pptMemoEntry
-}{m: map[string]*pptMemoEntry{}}
+	m  map[pptKey]*pptMemoEntry
+}{m: map[pptKey]*pptMemoEntry{}}
+
+// pptKey is everything in a Config that changes a task run or what it
+// deposits: the machine it boots on and the trace collector that
+// receives its span tracks, besides persona, sizing and seed.
+type pptKey struct {
+	persona, machine string
+	quick            bool
+	seed             uint64
+	trace            *spans.Collector
+}
 
 type pptMemoEntry struct {
 	once sync.Once
@@ -50,7 +61,8 @@ type pptMemoEntry struct {
 // each object with a few modification keystrokes, then save. Pacing is
 // completion-based with ≥150 ms think times, matching the Test script.
 func pptTask(p persona.P, cfg Config) *pptRun {
-	key := fmt.Sprintf("%s/%v/%d", p.Short, cfg.Quick, cfg.Seed)
+	key := pptKey{persona: p.Short, machine: cfg.MachineProfile().Short,
+		quick: cfg.Quick, seed: cfg.Seed, trace: cfg.Trace}
 	pptMemo.mu.Lock()
 	e, ok := pptMemo.m[key]
 	if !ok {
@@ -62,6 +74,28 @@ func pptTask(p persona.P, cfg Config) *pptRun {
 	return e.run
 }
 
+// pptSteps is the §5.2 task as a completion-paced chain: launch, open,
+// then for each entry of pageDowns that many page-downs and one OLE
+// edit session (three modification keystrokes ≥150 ms apart, §5.2),
+// then save.
+func pptSteps(pageDowns []int, think simtime.Duration) []chainStep {
+	steps := []chainStep{
+		step(kernel.WMCommand, apps.CmdLaunch, 500*simtime.Millisecond),
+		step(kernel.WMCommand, apps.CmdOpen, think),
+	}
+	for i, downs := range pageDowns {
+		for j := 0; j < downs; j++ {
+			steps = append(steps, step(kernel.WMKeyDown, input.VKPageDown, think))
+		}
+		steps = append(steps, step(kernel.WMCommand, apps.CmdEditObject+int64(i), think))
+		for k := 0; k < 3; k++ {
+			steps = append(steps, step(kernel.WMChar, '7', 150*simtime.Millisecond))
+		}
+		steps = append(steps, step(kernel.WMCommand, apps.CmdEndEdit, think))
+	}
+	return append(steps, step(kernel.WMCommand, apps.CmdSave, think))
+}
+
 // pptSimulate performs the actual simulated task run behind pptTask.
 func pptSimulate(p persona.P, cfg Config) *pptRun {
 	// The run is shared by fig8/table1/fig12 but simulated once; a fixed
@@ -69,35 +103,16 @@ func pptSimulate(p persona.P, cfg Config) *pptRun {
 	// first (trace export must not depend on pool completion order).
 	cfg.TraceTag = "powerpoint-task"
 	params := apps.DefaultPowerpointParams()
-	pageDownsPerStop := []int{9, 10, 10} // reach slides 10, 20, 30
-	edits := 3
+	pageDowns := []int{9, 10, 10} // reach slides 10, 20, 30
 	if cfg.Quick {
 		params.Slides = 12
 		params.ObjectSlides = []int{3, 6, 9}
-		pageDownsPerStop = []int{2, 3, 3}
-		edits = 2
+		pageDowns = []int{2, 3}
 	}
 
 	r := newRig(cfg, p, 220)
 	ppt := apps.NewPowerpoint(r.sys, params)
-
-	think := 300 * simtime.Millisecond
-	var steps []chainStep
-	steps = append(steps, step(kernel.WMCommand, apps.CmdLaunch, 500*simtime.Millisecond))
-	steps = append(steps, step(kernel.WMCommand, apps.CmdOpen, think))
-	for i := 0; i < edits; i++ {
-		for j := 0; j < pageDownsPerStop[i]; j++ {
-			steps = append(steps, step(kernel.WMKeyDown, input.VKPageDown, think))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEditObject+int64(i), think))
-		// Modify the object: a few keystrokes ≥150 ms apart (§5.2).
-		for k := 0; k < 3; k++ {
-			steps = append(steps, step(kernel.WMChar, '7', 150*simtime.Millisecond))
-		}
-		steps = append(steps, step(kernel.WMCommand, apps.CmdEndEdit, think))
-	}
-	steps = append(steps, step(kernel.WMCommand, apps.CmdSave, think))
-
+	steps := pptSteps(pageDowns, 300*simtime.Millisecond)
 	s := openChain("", r, ppt.Thread(), steps, true, simtime.Time(200*simtime.Second))
 	defer s.Close()
 	s.run()
@@ -107,7 +122,7 @@ func pptSimulate(p persona.P, cfg Config) *pptRun {
 	run := &pptRun{events: events, elapsed: simtime.Duration(done)}
 	// Label the command events in issue order.
 	labels := []string{"Start Powerpoint", "Open document"}
-	for i := 0; i < edits; i++ {
+	for i := range pageDowns {
 		labels = append(labels, fmt.Sprintf("Start OLE edit session (object %d)", i+1), "End OLE edit")
 	}
 	labels = append(labels, "Save document")

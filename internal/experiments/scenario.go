@@ -20,9 +20,8 @@ import (
 // machine.ByShort — and every run goes through ScenarioSession
 // (session.go), so a file-backed experiment, a Go-registered one and a
 // campaign session share a single code path. The ext-faults-* specs
-// are themselves registered from documents (see extfaults.go), and
-// their JSON twins under testdata/scenarios/ are proven byte-identical
-// by TestScenarioTwinsMatchGoRegistered.
+// are themselves registered from their documents under
+// testdata/scenarios/ (embedded, see extfaults.go).
 
 // FromScenario compiles doc into a runnable Spec. The Spec's Run
 // resolves the document against the run Config: a pinned doc.Seed or

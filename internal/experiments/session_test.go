@@ -12,6 +12,10 @@ import (
 	"latlab/internal/system"
 )
 
+// corpusDir is the committed scenario corpus, shared with latbench's
+// -run corpus default.
+const corpusDir = "../../testdata/scenarios"
+
 // TestBatchSessionEquivalence pins the decomposition contract stated in
 // session.go: a session stepped inside a system.Batch produces exactly
 // the result the sequential path produces for the same Config and Doc —
@@ -20,7 +24,7 @@ import (
 // runs once alone and once interleaved with the whole set in one batch,
 // and the two ScenarioResults must be deeply equal.
 func TestBatchSessionEquivalence(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join(twinDir, "fz-*.json"))
+	paths, err := filepath.Glob(filepath.Join(corpusDir, "fz-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

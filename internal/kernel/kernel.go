@@ -67,28 +67,11 @@ type Config struct {
 	// SetTimer behaviour that produces the paper's Fig. 4 animation
 	// stair pattern.
 	TimersTickAligned bool
-	// DiskParams overrides the drive parameters when non-zero; the zero
-	// value derives them from Machine (disk.ParamsFor). CachePages
-	// sizes the buffer cache; DiskSeed fixes rotational phase.
-	DiskParams disk.Params
-	CachePages int
-	DiskSeed   uint64
 	// DomainCrossingCycles overrides the direct protection-domain-
 	// crossing cost when non-zero. It is the one penalty the OS owns
 	// (trap path, state save, address-space switch), so personas set it
 	// while the Machine profile supplies the hardware penalties.
 	DomainCrossingCycles int64
-	// Penalties overrides the whole CPU cost model when non-zero,
-	// squashing both the Machine-derived penalties and
-	// DomainCrossingCycles — the pre-profile escape hatch for ablations
-	// that need exact control (including explicit zero fields).
-	Penalties cpu.Penalties
-	// CPUFrequency overrides the simulated clock rate when non-zero,
-	// taking precedence over Machine.ClockHz. Segment costs are in
-	// cycles, so a slower clock slows every operation proportionally —
-	// the paper's §5.1 remark that latencies unnoticed on their machine
-	// "might have a significant effect ... on a slower machine".
-	CPUFrequency simtime.Hz
 	// Engine selects the simulation-core strategy (queue backend,
 	// analytic idle skipping). The zero value is the reference engine;
 	// see engine.go. Both engines produce byte-identical results.
@@ -109,8 +92,6 @@ func DefaultConfig() Config {
 		MouseInterrupt:       cpu.Segment{Name: "mouseintr", BaseCycles: 1500, Instructions: 900, DataRefs: 350},
 		ModeSwitchCycles:     150,
 		TimersTickAligned:    true,
-		CachePages:           2048, // 8 MB buffer cache out of 32 MB RAM
-		DiskSeed:             1996,
 	}
 }
 
@@ -207,10 +188,17 @@ type Kernel struct {
 	irqTimer      eventq.Handle
 }
 
+// cachePages sizes the buffer cache: 8 MB out of the paper machine's
+// 32 MB of RAM. diskSeed fixes the drive's rotational phase.
+const (
+	cachePages = 2048
+	diskSeed   = 1996
+)
+
 // New builds a kernel (and its machine: CPU, disk, buffer cache) from
 // cfg. The hardware trio is derived from cfg.Machine (the paper's
-// Pentium when unset); explicit cfg overrides — penalty fields,
-// CPUFrequency, DiskParams — win over the profile derivation.
+// Pentium when unset); only the domain-crossing cost is the
+// persona's (DomainCrossingCycles).
 func New(cfg Config) *Kernel {
 	if cfg.ClockTick <= 0 {
 		// The recurring clock re-arms at now+ClockTick: a zero tick
@@ -228,28 +216,15 @@ func New(cfg Config) *Kernel {
 	if cfg.DomainCrossingCycles != 0 {
 		k.cpu.Penalties.DomainCrossing = cfg.DomainCrossingCycles
 	}
-	if cfg.Penalties != (cpu.Penalties{}) {
-		k.cpu.Penalties = cfg.Penalties
-	}
-	if cfg.CPUFrequency != 0 {
-		cfg.CPUFrequency.Validate()
-		k.cpu.Freq = cfg.CPUFrequency
-	}
-	dp := cfg.DiskParams
-	if dp == (disk.Params{}) {
-		dp = disk.ParamsFor(prof)
-	}
 	k.ctrs = cpu.NewCounterFile(k.cpu)
-	k.disk = disk.New(dp, k, cfg.DiskSeed)
-	k.cache = fscache.New(k.disk, cfg.CachePages)
+	k.disk = disk.New(disk.ParamsFor(prof), k, diskSeed)
+	k.cache = fscache.New(k.disk, cachePages)
 	if n := prof.Cores - 1; n > 0 {
 		k.aux = make([]auxCore, n)
 	}
-	if prof.DVFS.Enabled() && (cfg.CPUFrequency == 0 || cfg.CPUFrequency == prof.ClockHz) {
+	if prof.DVFS.Enabled() {
 		// The machine boots at the governor's lowest level, the resting
-		// point an idle machine decays to. A CPUFrequency override that
-		// contradicts the ladder disables the governor instead of
-		// running a ladder whose max is not the machine's clock.
+		// point an idle machine decays to.
 		k.dvfs = prof.DVFS
 		k.cpu.SetClock(k.dvfs.Level(0))
 	}

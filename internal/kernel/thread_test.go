@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"latlab/internal/cpu"
+	"latlab/internal/machine"
 	"latlab/internal/simtime"
 )
 
@@ -315,7 +316,8 @@ func TestNonIdleBusyWhileRunning(t *testing.T) {
 
 func TestCPUFrequencyOverride(t *testing.T) {
 	cfg := quietConfig()
-	cfg.CPUFrequency = 20_000_000 // 20 MHz
+	cfg.Machine = machine.Pentium100()
+	cfg.Machine.ClockHz = 20_000_000 // 20 MHz
 	k := New(cfg)
 	defer k.Shutdown()
 	var done simtime.Time
@@ -332,7 +334,8 @@ func TestCPUFrequencyOverride(t *testing.T) {
 
 func TestCPUFrequencyInvalidPanics(t *testing.T) {
 	cfg := quietConfig()
-	cfg.CPUFrequency = 3 // no integral ns period
+	cfg.Machine = machine.Pentium100()
+	cfg.Machine.ClockHz = 3 // no integral ns period
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("invalid frequency should panic at boot")

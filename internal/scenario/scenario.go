@@ -63,7 +63,8 @@ type Doc struct {
 	// Title is the one-line spec title shown in listings.
 	Title string `json:"title"`
 	// Banner, when set, overrides Title as the rendered headline of the
-	// result (the ext-faults twins use it to keep their exact wording).
+	// result (the ext-faults documents use it to keep their exact
+	// wording).
 	Banner string `json:"banner,omitempty"`
 	// Paper cites what the scenario reproduces or extends.
 	Paper string `json:"paper,omitempty"`

@@ -6,11 +6,9 @@
 package system
 
 import (
-	"latlab/internal/faults"
 	"latlab/internal/kernel"
 	"latlab/internal/machine"
 	"latlab/internal/persona"
-	"latlab/internal/spans"
 	"latlab/internal/winsys"
 )
 
@@ -39,10 +37,11 @@ type System struct {
 }
 
 // Config describes one machine to boot: who it pretends to be
-// (Persona), what it runs on (Machine), and the optional cross-cutting
-// attachments — a fault plan to arm and a span recorder to observe
-// with. It is the single construction surface the scenario compiler
-// lowers onto; the zero value of every field but Persona is valid.
+// (Persona), what it runs on (Machine), and how the kernel steps
+// (Engine). It is the single construction surface the scenario
+// compiler lowers onto; the zero value of every field but Persona is
+// valid. Fault plans and span recorders are attached by the caller
+// after boot (faults.Clock.Arm, kernel.Kernel.SetRecorder).
 type Config struct {
 	// Persona is the OS personality to boot. Required: an unnamed
 	// persona (empty Name) panics, because a zero persona.P would
@@ -51,18 +50,6 @@ type Config struct {
 	// Machine is the hardware profile; the zero value means the paper's
 	// Pentium (machine.Pentium100).
 	Machine machine.Profile
-	// Faults is armed on the booted kernel with a kernel-only target
-	// (faults.Target{K: ...}), before any application is spawned. Fault
-	// kinds that need richer targets — PriorityInversion's victim
-	// thread, a custom storm segment — are skipped or defaulted by
-	// faults.Arm; callers needing them arm their own faults.Clock
-	// instead and leave this empty. The empty plan takes the exact
-	// fault-free code path.
-	Faults faults.Plan
-	// Spans, when non-nil, is attached to the kernel before the first
-	// event runs, so the whole boot is observable. Recording never
-	// perturbs the simulation.
-	Spans *spans.Recorder
 	// Engine selects the kernel's simulation-core strategy (event-queue
 	// backend, analytic idle skipping). The zero value is the reference
 	// engine; kernel.BatchedEngine() is the throughput path. Both
@@ -72,9 +59,8 @@ type Config struct {
 
 // New builds and starts a machine from cfg: kernel on cfg.Machine,
 // window system, the persona's background threads, and (for personas
-// with MouseBusyWait) the mouse router; then arms cfg.Faults and
-// attaches cfg.Spans. Call Shutdown when done to release the
-// applications' thread coroutines.
+// with MouseBusyWait) the mouse router. Call Shutdown when done to
+// release the applications' thread coroutines.
 func New(cfg Config) *System {
 	if cfg.Persona.Name == "" {
 		panic("system: New with zero-value Persona")
@@ -113,12 +99,6 @@ func New(cfg Config) *System {
 
 	if p.MouseBusyWait {
 		s.router = s.K.Spawn("mouse16", kernel.KernelProc, RouterPrio, s.mouseRouter)
-	}
-	if !cfg.Faults.Empty() {
-		faults.NewClock(cfg.Faults).Arm(faults.Target{K: s.K})
-	}
-	if cfg.Spans != nil {
-		s.K.SetRecorder(cfg.Spans)
 	}
 	return s
 }
